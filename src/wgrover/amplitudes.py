@@ -30,9 +30,10 @@ WEIGHT_SUM_TOL = 1e-6
 class AmplitudeDistribution:
     """Complex amplitudes P(n) over strictly increasing integer labels.
 
-    Invariants checked at construction: at least two entries, unit total
-    probability (within 1e-12), unique ascending labels.  Instances are
-    immutable; the amplitude array is marked read-only.
+    Invariants checked at construction: at least two entries, finite
+    amplitudes with unit total probability (within 1e-12), unique ascending
+    labels.  Instances are immutable; the amplitude array is marked
+    read-only.
     """
 
     labels: tuple[int, ...]
@@ -52,6 +53,9 @@ class AmplitudeDistribution:
         if any(b <= a for a, b in zip(self.labels, self.labels[1:])):
             raise DomainError(f"labels must be strictly increasing, got {self.labels}")
         total = float(np.sum(np.abs(amps) ** 2))
+        # a NaN or infinite amplitude makes the sum NaN or infinite
+        if not math.isfinite(total):
+            raise DomainError(f"amplitudes must be finite: sum |P|^2 = {total!r}")
         if abs(total - 1.0) > NORM_TOL:
             raise DomainError(
                 f"amplitudes are not normalized: sum |P|^2 = {total!r} "
@@ -89,7 +93,7 @@ class AmplitudeDistribution:
 class WeightedDatabase:
     """Classical view of the database: (label, proportion) pairs.
 
-    Proportions must be positive and sum to 1 within 1e-12.
+    Proportions must be positive, finite and sum to 1 within 1e-12.
     """
 
     entries: tuple[tuple[int, float], ...]
@@ -100,6 +104,8 @@ class WeightedDatabase:
         if any(p <= 0 for _, p in entries):
             raise DomainError("all proportions must be positive")
         total = math.fsum(p for _, p in entries)
+        if not math.isfinite(total):
+            raise DomainError(f"proportions must be finite: they sum to {total!r}")
         if abs(total - 1.0) > NORM_TOL:
             raise DomainError(
                 f"proportions sum to {total!r}, must be 1 within {NORM_TOL}"
@@ -204,10 +210,10 @@ def load_spec(spec: dict) -> AmplitudeDistribution:
     kind = spec.get("kind")
     try:
         if kind == "uniform":
-            return uniform(int(spec["n"]))
+            return uniform(_int_field(spec, "n"))
         if kind == "coherent":
             alpha = complex(float(spec["alpha_re"]), float(spec.get("alpha_im", 0.0)))
-            return truncated_coherent(alpha, int(spec["q1"]), int(spec["n"]))
+            return truncated_coherent(alpha, _int_field(spec, "q1"), _int_field(spec, "n"))
         if kind == "weights":
             weights = spec["weights"]
             if not isinstance(weights, (list, tuple)):
@@ -217,12 +223,22 @@ def load_spec(spec: dict) -> AmplitudeDistribution:
         raise DomainError(f"distribution spec is missing field {exc}") from None
     except DomainError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed distribution spec: {exc}") from None
     raise DomainError(f"unknown distribution kind {kind!r}")
 
 
+def _int_field(spec: dict, name: str) -> int:
+    """spec[name] as an integer; JSON floats and booleans are rejected, not truncated."""
+    value = spec[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"'{name}' must be an integer, got {value!r}")
+    return value
+
+
 def _check_coherent_args(alpha: complex, q1: int, n: int) -> None:
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     if abs(alpha) == 0:
         raise DomainError("alpha = 0 puts all weight on q = 0; degenerate database")
     if q1 < 0:

@@ -17,13 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import grover_core
 from .amplitudes import AmplitudeDistribution, WeightedDatabase
 from .continuum import delta_tilde
 from .errors import DomainError, NoPeakError
 
-# Tail labels of a coherent window can need ~1e12 iterations to peak; rows
-# whose closed-form estimate exceeds this budget report no discrete peak.
+# Rows whose closed-form peak estimate exceeds this budget report no
+# discrete peak: the table's contract, not a cost limit (the peak itself is
+# found in O(1)).  Tail labels of a coherent window would peak at ~1e12.
 DEFAULT_PEAK_BUDGET = 100_000
 
 
@@ -72,23 +75,35 @@ def local_speedup(dist: AmplitudeDistribution, k: int) -> bool:
     return 1.0 / delta_tilde(p_k) < 1.0 / prop
 
 
+def _label_metrics(dist: AmplitudeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """|P(k)|^2 and delta_tilde(k) for every label, in label order.
+
+    np.hypot and np.float_power call the same libm routines as abs() and **
+    on a Python complex, so each entry equals abs(P(k)) ** 2 and
+    delta_tilde(P(k)) bit for bit (np.abs and ** round differently).
+    """
+    amps = dist.amplitudes
+    mag = np.hypot(amps.real, amps.imag)
+    props = np.float_power(mag, 2)
+    degenerate = (props == 0.0) | (props >= 1.0)
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise DomainError(f"|P({dist.labels[i]})|^2 = {float(props[i])!r} is degenerate")
+    return props, np.sqrt(props - np.float_power(mag, 4))
+
+
 def global_speedup(dist: AmplitudeDistribution) -> SpeedupVerdict:
     """Does Grover beat classical search for every target simultaneously?"""
-    scales = []
-    for k in dist.labels:
-        p_k = dist.amplitude(k)
-        prop = abs(p_k) ** 2
-        if prop == 0.0 or prop >= 1.0:
-            raise DomainError(f"|P({k})|^2 = {prop!r} is degenerate")
-        scales.append((k, 1.0 / delta_tilde(p_k), 1.0 / prop))
-    grover_k, max_scale, _ = max(scales, key=lambda t: t[1])
-    classical_j, _, min_steps = min(scales, key=lambda t: t[2])
+    props, dts = _label_metrics(dist)
+    grover_scales, classical_steps = 1.0 / dts, 1.0 / props
+    g = int(np.argmax(grover_scales))
+    c = int(np.argmin(classical_steps))
     return SpeedupVerdict(
-        holds=max_scale < min_steps,
-        grover_witness=grover_k,
-        classical_witness=classical_j,
-        max_grover_scale=max_scale,
-        min_classical_steps=min_steps,
+        holds=bool(grover_scales[g] < classical_steps[c]),
+        grover_witness=dist.labels[g],
+        classical_witness=dist.labels[c],
+        max_grover_scale=float(grover_scales[g]),
+        min_classical_steps=float(classical_steps[c]),
     )
 
 
@@ -97,17 +112,14 @@ def comparison_table(
 ) -> list[ComparisonRow]:
     """One row per label with classical and Grover step metrics.
 
-    discrete_peak comes from the actual recurrence (grover_core.first_peak
-    semantics); labels whose estimated peak lies beyond peak_budget get
-    None instead of burning an unbounded number of iterations.
+    discrete_peak is the first peak of the exact recurrence
+    (grover_core.scan_first_peak); labels whose estimated peak lies beyond
+    peak_budget get None.
     """
+    props, dts = _label_metrics(dist)
     rows = []
-    for k in dist.labels:
+    for k, prop, dt in zip(dist.labels, props.tolist(), dts.tolist()):
         p_k = dist.amplitude(k)
-        prop = abs(p_k) ** 2
-        if prop == 0.0 or prop >= 1.0:
-            raise DomainError(f"|P({k})|^2 = {prop!r} is degenerate")
-        dt = delta_tilde(p_k)
         peak: int | None
         if grover_core.estimated_peak(p_k) + 2 > peak_budget:
             peak = None
@@ -134,4 +146,6 @@ def comparison_table(
 
 def local_failures(dist: AmplitudeDistribution) -> list[int]:
     """Labels for which the local speedup condition fails."""
-    return [k for k in dist.labels if not local_speedup(dist, k)]
+    props, dts = _label_metrics(dist)
+    fails = ~(1.0 / dts < 1.0 / props)
+    return [dist.labels[i] for i in np.flatnonzero(fails).tolist()]

@@ -14,6 +14,9 @@ Because |D> and |k> are not orthogonal, the measurable success amplitude
 is a*P(k) + b rather than b alone; all probabilities reported here use
 that projection, which keeps them in [0, 1] and in exact agreement with
 the dense oracle.
+
+That probability is exactly sin^2((2r + 1) asin|P(k)|), which is how
+scan_first_peak finds the first peak without stepping.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .errors import ConsistencyError, DomainError, NoPeakError
 PROB_OVERSHOOT_TOL = 1e-9
 SUBSPACE_RESIDUAL_TOL = 1e-8
 STATE_NORM_TOL = 1e-9
+# Above this |P(k)| one step turns sin^2((2r + 1) theta) past its crest.
+ALIAS_EDGE = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -135,37 +140,59 @@ def first_peak(traj: Trajectory) -> tuple[int, float]:
     return found
 
 
-def scan_first_peak(dist: AmplitudeDistribution, k: int, r_limit: int) -> tuple[int, float]:
-    """Streaming version of iterate + first_peak with O(1) memory.
+def _first_crest(mag: float) -> float:
+    """Continuous first crest x > 0 of sin^2((2x + 1) theta), theta = asin(mag).
 
-    Steps the recurrence until the first interior local maximum appears,
-    never materializing the trajectory; identical result to
-    first_peak(iterate(dist, k, r)) for any r large enough.
+    One step advances the angle by 2 theta.  Up to mag = 1/sqrt(2) that is
+    at most half the period pi of sin^2, so the samples climb straight to
+    the crest at (2x + 1) theta = pi/2.  Above it the samples alias: a step of
+    2 theta equals a step back by pi - 2 theta = 2 acos(mag), and the first
+    crest lies far away (x ~ 110.6 at mag = 0.9999).
+    """
+    if mag <= ALIAS_EDGE:
+        return math.pi / (4.0 * math.asin(mag)) - 0.5
+    return math.pi / (2.0 * math.acos(mag)) - 0.5
+
+
+def scan_first_peak(dist: AmplitudeDistribution, k: int, r_limit: int) -> tuple[int, float]:
+    """First peak (r, probability) of the success probability, in O(1).
+
+    The recurrence's success probability is exactly sin^2((2r + 1) theta)
+    with theta = asin|P(k)|.  Between two troughs it is unimodal, so the
+    first interior local maximum over integer r is an integer next to the
+    continuous first crest; _first_local_max picks it from the crest's
+    integer neighbours, ties going to the smaller r.  Same r as
+    first_peak(iterate(dist, k, r_max)) for any r_max > r; the probability
+    is the closed-form value.  A peak at or beyond r_limit raises
+    NoPeakError.
     """
     if r_limit < 2:
         raise NoPeakError(f"r_limit = {r_limit} cannot bracket a peak")
     p_k = dist.amplitude(k)
     _check_target_amplitude(p_k)
-    state = TwoDState(a=1.0 + 0.0j, b=0.0 + 0.0j)
-    prev = success_probability(state, p_k)
-    state = step(state, p_k)
-    cur = success_probability(state, p_k)
-    for r in range(1, r_limit):
-        state = step(state, p_k)
-        nxt = success_probability(state, p_k)
-        if cur >= prev and cur >= nxt:
-            return r, cur
-        prev, cur = cur, nxt
-    raise NoPeakError(
-        f"no success-probability peak within r_max = {r_limit}; rerun with a larger r_max"
-    )
+    mag = abs(p_k)
+    theta = math.asin(mag)
+    lo = max(1, math.floor(_first_crest(mag)))
+    window = [math.sin((2 * r + 1) * theta) ** 2 for r in range(lo - 1, lo + 3)]
+    found = _first_local_max(window)
+    if found is None:
+        raise ConsistencyError(
+            f"no local maximum next to the first crest of |P(k)| = {mag!r}"
+        )
+    r, prob = lo - 1 + found[0], found[1]
+    if r >= r_limit:
+        raise NoPeakError(
+            f"no success-probability peak within r_max = {r_limit}; rerun with a larger r_max"
+        )
+    return r, prob
 
 
 def estimated_peak(p_k: complex) -> float:
-    """Closed-form location pi/(4 arcsin|P(k)|) - 1/2 of the first peak.
+    """Closed-form location pi/(4 arcsin|P(k)|) - 1/2 of the first crest.
 
-    Used to budget iteration counts before scanning; exact for real
-    amplitude ratios up to rounding of the nearest integer.
+    Exact for |P(k)| <= 1/sqrt(2); above it the sampled crest aliases (see
+    scan_first_peak) and this value is below 1.  analysis.comparison_table
+    uses it as the peak budget that decides which rows carry a peak.
     """
     _check_target_amplitude(p_k)
     return math.pi / (4.0 * math.asin(abs(p_k))) - 0.5

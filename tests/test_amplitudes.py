@@ -222,6 +222,17 @@ class TestInvariants:
         with pytest.raises(DomainError):
             WeightedDatabase(entries=((1, 0.5), (2, 0.6)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        amps = np.array([bad, 0.5, 0.5], dtype=np.complex128)
+        with pytest.raises(DomainError, match="finite"):
+            AmplitudeDistribution(labels=(1, 2, 3), amplitudes=amps)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_proportions_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            WeightedDatabase(entries=((1, bad), (2, 0.5), (3, 0.5)))
+
 
 class TestLoadSpec:
     def test_uniform_kind(self):
@@ -259,3 +270,34 @@ class TestLoadSpec:
             load_spec({"kind": "weights", "weights": "x"})
         with pytest.raises(DomainError):
             load_spec([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "weights", "weights": [math.nan, 0.5, 0.5]},
+            {"kind": "weights", "weights": [math.inf, 0.5, 0.5]},
+            {"kind": "coherent", "alpha_re": math.nan, "q1": 1, "n": 20},
+            {"kind": "coherent", "alpha_re": 0.8, "alpha_im": math.inf, "q1": 1, "n": 20},
+            {"kind": "coherent", "alpha_re": 1e200, "q1": 1, "n": 20},
+        ],
+        ids=["weights-nan", "weights-inf", "alpha-nan", "alpha-inf", "alpha-overflow"],
+    )
+    def test_non_finite_inputs_rejected(self, spec):
+        with pytest.raises(DomainError):
+            load_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "uniform", "n": 20.9},
+            {"kind": "uniform", "n": 20.0},
+            {"kind": "uniform", "n": True},
+            {"kind": "uniform", "n": "20"},
+            {"kind": "coherent", "alpha_re": 0.8, "q1": 1.5, "n": 20},
+            {"kind": "coherent", "alpha_re": 0.8, "q1": 1, "n": 20.0},
+            {"kind": "coherent", "alpha_re": 0.8, "q1": False, "n": 20},
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, spec):
+        with pytest.raises(DomainError, match="must be an integer"):
+            load_spec(spec)

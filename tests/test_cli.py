@@ -208,6 +208,24 @@ class TestExitCodes:
         assert run("simulate", "--inline", UNIFORM4, "--target", "9",
                    "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind":"weights","weights":[NaN,0.5,0.5]}',
+            '{"kind":"coherent","alpha_re":NaN,"alpha_im":0.0,"q1":1,"n":20}',
+            '{"kind":"coherent","alpha_re":0.8,"alpha_im":Infinity,"q1":1,"n":20}',
+            '{"kind":"uniform","n":20.9}',
+            '{"kind":"coherent","alpha_re":0.8,"q1":1.0,"n":20}',
+        ],
+        ids=["weights-nan", "alpha-nan", "alpha-inf", "n-float", "q1-float"],
+    )
+    def test_non_finite_or_fractional_spec_exits_1(self, tmp_path, capsys, command, spec):
+        assert run(command, "--inline", spec, "--target", "1", "--out", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error" in captured.err
+
 
 class TestOutputDirDefaults:
     def test_env_var_fallback(self, tmp_path, monkeypatch):

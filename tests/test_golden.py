@@ -1,0 +1,76 @@
+"""Golden hashes: every reproduction artifact must stay byte-identical.
+
+`test_criterion_8` only compares two fresh runs with each other, so a change
+that alters every run the same way would slip past it. Here the sha256 of
+each `repro fig2..fig6` artifact, and of the files and standard output of
+`compare --svg` on two fixed weight tables, is checked against the manifest
+`golden_sha256.json`.
+
+An intended output change must be named in CHANGES.md; regenerate the
+manifest with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from wgrover.cli import main
+
+MANIFEST = Path(__file__).with_name("golden_sha256.json")
+FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
+TABLE_SIZE = 2000
+TABLE_PRIME = 2003
+
+
+def fixed_table() -> list[float]:
+    """TABLE_SIZE distinct weights (i * 7919 mod 2003) + 1, normalized.
+
+    Integer numerators and one float division each, so the table is the same
+    on every platform; the smallest weight peaks near r = 1112.
+    """
+    nums = [(i * 7919) % TABLE_PRIME + 1 for i in range(TABLE_SIZE)]
+    total = sum(nums)
+    return [n / total for n in nums]
+
+
+# |P| up to 0.9999: the aliased branch, whose first peak lies near r = 111.
+HEAVY_TABLE = [0.9998, 0.0001, 0.00005, 0.00005]
+
+
+def produce(out: Path) -> dict[str, str]:
+    """Run every pinned command under `out`; map relative path to sha256."""
+    for fig in FIGURES:
+        assert main(["repro", fig, "--out", str(out)]) == 0
+    for name, weights in (("compare", fixed_table()), ("compare_heavy", HEAVY_TABLE)):
+        spec = json.dumps({"kind": "weights", "weights": weights})
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["compare", "--inline", spec, "--svg", "--out", str(out / name)]) == 0
+        (out / name / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_artifacts_match_golden_hashes(tmp_path):
+    got = produce(tmp_path)
+    want = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert sorted(got) == sorted(want)
+    changed = [name for name in want if got[name] != want[name]]
+    assert changed == [], f"artifacts differ from the golden manifest: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = produce(Path(tmp))
+    MANIFEST.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(hashes)} hashes to {MANIFEST}", file=sys.stderr)

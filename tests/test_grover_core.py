@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgrover.amplitudes import (
@@ -19,6 +19,7 @@ from wgrover.amplitudes import (
     uniform,
     weights_from_list,
 )
+from wgrover.analysis import DEFAULT_PEAK_BUDGET
 from wgrover.errors import ConsistencyError, DomainError, NoPeakError
 from wgrover.grover_core import (
     TwoDState,
@@ -41,6 +42,12 @@ def oracle_success_prob(p_abs: float, r: int) -> float:
 
 def oracle_peak(p_abs: float) -> int:
     return round(math.pi / (4 * math.asin(p_abs)) - 0.5)
+
+
+def peak_bracket(p_abs: float, margin: int) -> int:
+    """A limit past the first peak; above 1/sqrt(2) the crest aliases to
+    pi/(2 acos|P|) - 1/2, far beyond estimated_peak (r ~ 111 at 0.9999)."""
+    return int(max(estimated_peak(p_abs), math.pi / (2 * math.acos(p_abs)))) + margin
 
 
 def random_distribution(rng, n: int) -> AmplitudeDistribution:
@@ -194,12 +201,45 @@ class TestFirstPeak:
             assert first_peak(traj)[0] == expected, f"N={n}"
 
     @settings(max_examples=60, deadline=None)
-    @given(p=st.floats(min_value=0.02, max_value=0.93))
+    @given(p=st.floats(min_value=0.02, max_value=0.9999))
+    @example(p=0.9)
+    @example(p=0.9999)
     def test_scan_agrees_with_trajectory_peak(self, p):
         amps = np.array([p, math.sqrt(1 - p * p)], dtype=np.complex128)
         dist = AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
-        limit = max(int(estimated_peak(p)) + 10, 10)
-        assert scan_first_peak(dist, 1, limit) == first_peak(iterate(dist, 1, limit))
+        limit = peak_bracket(p, 10)
+        r_scan, prob_scan = scan_first_peak(dist, 1, limit)
+        r_traj, prob_traj = first_peak(iterate(dist, 1, limit))
+        assert r_scan == r_traj
+        # the scan reports the closed-form probability, the trajectory the
+        # recurrence's; they differ by rounding only
+        assert prob_scan == pytest.approx(prob_traj, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.6, 2.4, 3.2])
+    def test_scan_matches_recurrence_on_every_figure_label(self, alpha):
+        dist = truncated_coherent(alpha, 1, 20)
+        checked = 0
+        for k in dist.labels:
+            p_abs = abs(dist.amplitude(k))
+            if estimated_peak(p_abs) + 2 > DEFAULT_PEAK_BUDGET:
+                continue
+            r_traj, _ = first_peak(iterate(dist, k, peak_bracket(p_abs, 3)))
+            assert scan_first_peak(dist, k, DEFAULT_PEAK_BUDGET)[0] == r_traj, f"alpha={alpha} k={k}"
+            checked += 1
+        assert checked == {0.8: 11, 1.6: 18, 2.4: 21, 3.2: 21}[alpha]
+
+    @pytest.mark.parametrize("p", [1 / math.sqrt(20), 0.9999])
+    def test_r_limit_is_exclusive(self, p):
+        amps = np.array([p, math.sqrt(1 - p * p)], dtype=np.complex128)
+        dist = AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+        r_star, _ = scan_first_peak(dist, 1, 1000)
+        assert scan_first_peak(dist, 1, r_star + 1)[0] == r_star
+        with pytest.raises(NoPeakError, match="r_max"):
+            scan_first_peak(dist, 1, r_star)
+
+    def test_r_limit_below_two_cannot_bracket(self):
+        with pytest.raises(NoPeakError):
+            scan_first_peak(uniform(4), 1, 1)
 
 
 class TestDenseOracle:
