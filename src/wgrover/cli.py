@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, continuum, csvio, grover_core, svg
 from .amplitudes import AmplitudeDistribution, load_spec
 from .errors import ConsistencyError, DomainError, NoPeakError
@@ -26,6 +28,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+# Upper bound on --rmax; above the first peak even at |P|^2 = 1e-12 (r ~ 785 000).
+MAX_RMAX = 10**6
 
 # Figure parameters fixed by the reproduction captions.
 FIGURE_ALPHAS = (0.8, 1.6, 2.4, 3.2)
@@ -91,6 +96,8 @@ def _load_config(args) -> RunConfig:
         dist = _parse_spec(args.inline, source="--inline")
     if args.rmax < 1:
         raise DomainError(f"--rmax must be >= 1, got {args.rmax}")
+    if args.rmax > MAX_RMAX:
+        raise DomainError(f"--rmax must be <= {MAX_RMAX}, got {args.rmax}")
     out_dir = args.out or Path(os.environ.get("WGROVER_OUT", "out"))
     return RunConfig(
         dist=dist,
@@ -138,15 +145,7 @@ def cmd_simulate(config: RunConfig) -> int:
     traj = grover_core.iterate(config.dist, k, config.r_max)
     csvio.write_trajectory(out / "trajectory.csv", traj)
     if config.want_svg:
-        rs = [float(pt.r) for pt in traj.points]
-        svg.line_plot(
-            out / "trajectory.svg",
-            [
-                ("a_r", rs, [pt.state.a.real for pt in traj.points]),
-                ("b_r", rs, [pt.state.b.real for pt in traj.points]),
-            ],
-            f"recurrence, target k={k}", "iteration r", "coefficient",
-        )
+        _trajectory_svg(out / "trajectory.svg", traj, f"recurrence, target k={k}")
     r_star, prob = grover_core.first_peak(traj)
     print(f"r*={r_star} prob={prob:.6g}")
     return EXIT_OK
@@ -155,17 +154,8 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_continuum(config: RunConfig) -> int:
     out = _ensure_out(config)
     k = _require_target(config)
-    p_k = config.dist.amplitude(k)
-    sol = continuum.fit_one_step_solution(p_k)
-    t_period = continuum.period(p_k)
-    samples = csvio.write_continuum(out / "continuum.csv", sol, x_max=3.0 * t_period)
-    if config.want_svg:
-        xs = [s[0] for s in samples]
-        svg.line_plot(
-            out / "continuum.svg",
-            [("f_a", xs, [s[1] for s in samples]), ("f_b", xs, [s[2] for s in samples])],
-            f"continuum approximation, target k={k}", "x", "f",
-        )
+    title = f"continuum approximation, target k={k}" if config.want_svg else None
+    sol, t_period = _continuum_artifacts(out, config.dist.amplitude(k), title)
     x_star = continuum.predicted_peak_step(sol)
     print(f"x*={x_star:.6g} T={t_period:.6g}")
     return EXIT_OK
@@ -211,28 +201,31 @@ def _comparison_svgs(recip_path: Path, log_path: Path, rows) -> None:
     )
 
 
+def _trajectory_svg(path: Path, traj: grover_core.Trajectory, title: str) -> None:
+    rs = np.arange(len(traj.prob), dtype=float)
+    svg.line_plot(path, [("a_r", rs, traj.a.real), ("b_r", rs, traj.b.real)],
+                  title, "iteration r", "coefficient")
+
+
+def _continuum_artifacts(out: Path, p_k: complex, title: str | None):
+    """continuum.csv over three periods, plus continuum.svg when title is given.
+
+    Returns the fitted solution and the period T.
+    """
+    sol = continuum.fit_one_step_solution(p_k)
+    t_period = continuum.period(p_k)
+    xs, fa, fb = csvio.write_continuum(out / "continuum.csv", sol, x_max=3.0 * t_period)
+    if title is not None:
+        svg.line_plot(out / "continuum.svg", [("f_a", xs, fa), ("f_b", xs, fb)], title, "x", "f")
+    return sol, t_period
+
+
 def _repro_check(out: Path, dist: AmplitudeDistribution, k: int, title: str) -> None:
     """Discrete trajectory plus continuum curves for one target."""
     traj = grover_core.iterate(dist, k, FIG_TRAJECTORY_STEPS)
     csvio.write_trajectory(out / "trajectory.csv", traj)
-    rs = [float(pt.r) for pt in traj.points]
-    svg.line_plot(
-        out / "trajectory.svg",
-        [
-            ("a_r", rs, [pt.state.a.real for pt in traj.points]),
-            ("b_r", rs, [pt.state.b.real for pt in traj.points]),
-        ],
-        f"{title}: recurrence", "iteration r", "coefficient",
-    )
-    p_k = dist.amplitude(k)
-    sol = continuum.fit_one_step_solution(p_k)
-    samples = csvio.write_continuum(out / "continuum.csv", sol, x_max=3.0 * continuum.period(p_k))
-    xs = [s[0] for s in samples]
-    svg.line_plot(
-        out / "continuum.svg",
-        [("f_a", xs, [s[1] for s in samples]), ("f_b", xs, [s[2] for s in samples])],
-        f"{title}: continuum", "x", "f",
-    )
+    _trajectory_svg(out / "trajectory.svg", traj, f"{title}: recurrence")
+    _continuum_artifacts(out, dist.amplitude(k), f"{title}: continuum")
 
 
 def _coherent_figure_dist(alpha: float) -> AmplitudeDistribution:

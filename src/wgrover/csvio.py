@@ -8,10 +8,14 @@ into a data file, which makes reproduction runs byte-comparable.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import ComparisonRow
 from .continuum import ContinuumSolution, eval_fa, eval_fb
+from .errors import DomainError
 from .grover_core import Trajectory
 
 DISTRIBUTION_HEADER = ["k", "p_k"]
@@ -30,70 +34,83 @@ COMPARISON_HEADER = [
 ]
 
 
-def fmt(x: float) -> str:
-    """Round-trip-exact float formatting (17 significant digits)."""
-    return format(float(x), ".17g")
+# Array columns become Python scalars a block of rows at a time, so memory
+# stays flat on long runs.
+BLOCK_ROWS = 4096
+# Upper bound on continuum samples: [0, 3T] at step 0.01 grows like 1/|P|,
+# past 10^14 rows for the deep coherent tails.
+MAX_CONTINUUM_ROWS = 10**6
+
+# "%.17g" is format(x, ".17g"): round-trip-exact floats.  No field ever
+# needs CSV quoting, so one %-format per row writes what csv.writer would.
+TRAJECTORY_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+CONTINUUM_ROW = "%.17g,%.17g,%.17g\n"
+DISTRIBUTION_ROW = "%d,%.17g\n"
+COMPARISON_ROW = "%d,%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
 
 
-def write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write(path: Path, header: list[str], row_format: str, rows) -> None:
+    """Write the header, then each row tuple through row_format, streamed."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(row_format.__mod__, rows))
+
+
+def _array_rows(*columns):
+    """Rows of equally long arrays as tuples of Python scalars, a block at a time."""
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        yield from zip(*(c[lo:lo + BLOCK_ROWS].tolist() for c in columns))
 
 
 def write_distribution(path: Path, labels, proportions) -> None:
-    rows = [[str(k), fmt(p)] for k, p in zip(labels, proportions)]
-    write_rows(path, DISTRIBUTION_HEADER, rows)
+    _write(path, DISTRIBUTION_HEADER, DISTRIBUTION_ROW,
+           zip(labels, np.asarray(proportions, dtype=float).tolist()))
 
 
 def write_trajectory(path: Path, traj: Trajectory) -> None:
-    rows = [
-        [
-            str(pt.r),
-            fmt(pt.state.a.real),
-            fmt(pt.state.a.imag),
-            fmt(pt.state.b.real),
-            fmt(pt.state.b.imag),
-            fmt(pt.success_prob),
-        ]
-        for pt in traj.points
-    ]
-    write_rows(path, TRAJECTORY_HEADER, rows)
+    rows = _array_rows(np.arange(len(traj.prob)), traj.a.real, traj.a.imag,
+                       traj.b.real, traj.b.imag, traj.prob)
+    _write(path, TRAJECTORY_HEADER, TRAJECTORY_ROW, rows)
 
 
 def write_continuum(
     path: Path, sol: ContinuumSolution, x_max: float, x_step: float = 0.01
-) -> list[tuple[float, float, float]]:
-    """Sample f_a, f_b on a uniform grid and write them; returns the samples."""
-    n = int(round(x_max / x_step))
-    samples = []
-    rows = []
-    for i in range(n + 1):
-        x = i * x_step
-        fa, fb = eval_fa(sol, x), eval_fb(sol, x)
-        samples.append((x, fa, fb))
-        rows.append([fmt(x), fmt(fa), fmt(fb)])
-    write_rows(path, CONTINUUM_HEADER, rows)
-    return samples
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample f_a, f_b on a uniform grid over [0, x_max] and write them.
+
+    Returns the samples as arrays (x, f_a, f_b).  A grid of more than
+    MAX_CONTINUUM_ROWS rows raises DomainError before the file is opened.
+    """
+    steps = x_max / x_step
+    if not (math.isfinite(steps) and round(steps) + 1 <= MAX_CONTINUUM_ROWS):
+        raise DomainError(
+            f"continuum sampling of [0, {x_max:.6g}] at step {x_step} needs "
+            f"{steps + 1:.3g} rows, above the limit of {MAX_CONTINUUM_ROWS}"
+        )
+    n = round(steps)
+    xs = [i * x_step for i in range(n + 1)]
+    fa = [eval_fa(sol, x) for x in xs]
+    fb = [eval_fb(sol, x) for x in xs]
+    _write(path, CONTINUUM_HEADER, CONTINUUM_ROW, zip(xs, fa, fb))
+    return np.array(xs), np.array(fa), np.array(fb)
 
 
 def write_comparison(path: Path, rows: list[ComparisonRow]) -> None:
-    out = [
-        [
-            str(row.k),
-            fmt(row.p_k),
-            fmt(row.classical_steps),
-            fmt(row.grover_scale),
-            "" if row.discrete_peak is None else str(row.discrete_peak),
-            fmt(row.recip_classical),
-            fmt(row.recip_grover),
-            fmt(row.ln_classical),
-            fmt(row.ln_grover),
-        ]
+    out = (
+        (
+            row.k,
+            row.p_k,
+            row.classical_steps,
+            row.grover_scale,
+            "" if row.discrete_peak is None else row.discrete_peak,
+            row.recip_classical,
+            row.recip_grover,
+            row.ln_classical,
+            row.ln_grover,
+        )
         for row in rows
-    ]
-    write_rows(path, COMPARISON_HEADER, out)
+    )
+    _write(path, COMPARISON_HEADER, COMPARISON_ROW, out)
 
 
 def _read(path: Path, expected_header: list[str]) -> list[list[str]]:

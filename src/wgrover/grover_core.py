@@ -22,6 +22,8 @@ scan_first_peak finds the first peak without stepping.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,18 +55,47 @@ class TrajectoryPoint:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """History of the recurrence for one target label.
+    """History of the recurrence for one target label, as arrays over r.
 
-    points[r] holds (a_r, b_r) and the success probability |a_r P(k) + b_r|^2;
-    point 0 is always (1, 0) with probability |P(k)|^2.
+    a[r], b[r] (complex128) are the coefficients (a_r, b_r) and prob[r]
+    (float64) the success probability |a_r P(k) + b_r|^2; r = 0 is always
+    (1, 0) with probability |P(k)|^2.  The arrays are read-only.
     """
 
     target: int
     p_k: complex
-    points: tuple[TrajectoryPoint, ...]
+    a: np.ndarray
+    b: np.ndarray
+    prob: np.ndarray
 
-    def success_probs(self) -> np.ndarray:
-        return np.array([pt.success_prob for pt in self.points])
+    @property
+    def points(self) -> TrajectoryPoints:
+        return TrajectoryPoints(self)
+
+
+class TrajectoryPoints(Sequence):
+    """Read-only sequence view of a Trajectory, one TrajectoryPoint per r.
+
+    Each index builds its point on demand; len() builds none.
+    """
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: Trajectory) -> None:
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.prob)
+
+    def __getitem__(self, r: int) -> TrajectoryPoint:
+        n = len(self)
+        r = operator.index(r)
+        if r < 0:
+            r += n
+        if not 0 <= r < n:
+            raise IndexError(f"trajectory index out of range for {n} points")
+        t = self._traj
+        return TrajectoryPoint(r, TwoDState(a=complex(t.a[r]), b=complex(t.b[r])), float(t.prob[r]))
 
 
 def _check_target_amplitude(p_k: complex) -> None:
@@ -78,7 +109,11 @@ def _check_target_amplitude(p_k: complex) -> None:
 
 
 def step(state: TwoDState, p_k: complex) -> TwoDState:
-    """One application of G to a|D> + b|k> in the 2-d subspace."""
+    """One application of G to a|D> + b|k> in the 2-d subspace.
+
+    With success_probability, the per-step oracle that iterate must match
+    bit for bit.
+    """
     _check_target_amplitude(p_k)
     p = complex(p_k)
     a, b = complex(state.a), complex(state.b)
@@ -102,18 +137,43 @@ def success_probability(state: TwoDState, p_k: complex) -> float:
     return min(max(prob, 0.0), 1.0)
 
 
+def _readonly(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
-    """Run the recurrence from (a, b) = (1, 0) for r_max steps."""
+    """Run the recurrence from (a, b) = (1, 0) for r_max steps.
+
+    The same scalar complex arithmetic as step and success_probability, with
+    P(k) checked once and the step's constants hoisted; the results are
+    bit-identical to repeated step calls.
+    """
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     p_k = dist.amplitude(k)
     _check_target_amplitude(p_k)
-    state = TwoDState(a=1.0 + 0.0j, b=0.0 + 0.0j)
-    points = [TrajectoryPoint(0, state, success_probability(state, p_k))]
-    for r in range(1, r_max + 1):
-        state = step(state, p_k)
-        points.append(TrajectoryPoint(r, state, success_probability(state, p_k)))
-    return Trajectory(target=k, p_k=p_k, points=tuple(points))
+    p = complex(p_k)
+    factor = 1.0 - 4.0 * abs(p) ** 2
+    two_pc, two_p = 2.0 * p.conjugate(), 2.0 * p
+    a, b = 1.0 + 0.0j, 0.0 + 0.0j
+    a_s, b_s, probs = [a], [b], [abs(a * p + b) ** 2]
+    for _ in range(r_max):
+        a, b = factor * a - two_pc * b, b + two_p * a
+        a_s.append(a)
+        b_s.append(b)
+        probs.append(abs(a * p + b) ** 2)
+    prob = np.array(probs)
+    over = prob > 1.0 + PROB_OVERSHOOT_TOL
+    if over.any():
+        raise ConsistencyError(
+            f"success probability {float(prob[over.argmax()])!r} exceeds 1 beyond tolerance; "
+            "the recurrence state is inconsistent"
+        )
+    return Trajectory(target=k, p_k=p_k, a=_readonly(a_s, np.complex128),
+                      b=_readonly(b_s, np.complex128),
+                      prob=_readonly(np.clip(prob, 0.0, 1.0), np.float64))
 
 
 def _first_local_max(probs) -> tuple[int, float] | None:
@@ -126,16 +186,16 @@ def _first_local_max(probs) -> tuple[int, float] | None:
 
 def first_peak(traj: Trajectory) -> tuple[int, float]:
     """First local maximum of the success probability over integer r."""
-    if len(traj.points) < 3:
+    if len(traj.prob) < 3:
         raise NoPeakError(
-            f"trajectory has only {len(traj.points)} points; need at least 3 "
+            f"trajectory has only {len(traj.prob)} points; need at least 3 "
             "to bracket a peak (increase r_max)"
         )
-    found = _first_local_max([pt.success_prob for pt in traj.points])
+    found = _first_local_max(traj.prob.tolist())
     if found is None:
-        r_max = traj.points[-1].r
         raise NoPeakError(
-            f"no success-probability peak within r_max = {r_max}; rerun with a larger r_max"
+            f"no success-probability peak within r_max = {len(traj.prob) - 1}; "
+            "rerun with a larger r_max"
         )
     return found
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 16, 34, 46
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R
@@ -101,16 +103,23 @@ def _frame(title: str, xlabel: str, ylabel: str, x_axis, y_axis) -> list[str]:
 
 def line_plot(
     path: Path,
-    series: list[tuple[str, list[float], list[float]]],
+    series: list[tuple[str, np.ndarray, np.ndarray]],
     title: str,
     xlabel: str,
     ylabel: str,
 ) -> None:
-    """Write a multi-series line plot; series = [(name, xs, ys), ...]."""
-    all_x = [x for _, xs, _ in series for x in xs]
-    all_y = [y for _, _, ys in series for y in ys]
-    xlo, xhi = min(all_x), max(all_x)
-    ylo, yhi = min(all_y), max(all_y)
+    """Write a multi-series line plot; series = [(name, xs, ys), ...].
+
+    xs and ys are float arrays (or sequences); each point's pixel position
+    is computed elementwise, the same IEEE operations per point as the
+    scalar formula.
+    """
+    series = [(name, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for name, xs, ys in series]
+    all_x = np.concatenate([xs for _, xs, _ in series])
+    all_y = np.concatenate([ys for _, _, ys in series])
+    xlo, xhi = float(all_x.min()), float(all_x.max())
+    ylo, yhi = float(all_y.min()), float(all_y.max())
     ypad = 0.05 * (yhi - ylo if yhi > ylo else 1.0)
     x_axis = _scale(xlo, xhi)
     y_axis = _scale(ylo - ypad, yhi + ypad)
@@ -118,11 +127,9 @@ def line_plot(
     (xlo, xspan), (ylo, yspan) = x_axis, y_axis
     for i, (name, xs, ys) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        pts = " ".join(
-            f"{_num(MARGIN_L + (x - xlo) / xspan * PLOT_W)},"
-            f"{_num(MARGIN_T + PLOT_H - (y - ylo) / yspan * PLOT_H)}"
-            for x, y in zip(xs, ys)
-        )
+        px = MARGIN_L + (xs - xlo) / xspan * PLOT_W
+        py = MARGIN_T + PLOT_H - (ys - ylo) / yspan * PLOT_H
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

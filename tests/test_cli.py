@@ -8,7 +8,7 @@ import pytest
 
 from wgrover import csvio, grover_core
 from wgrover.amplitudes import load_spec
-from wgrover.cli import main
+from wgrover.cli import MAX_RMAX, main
 
 UNIFORM20 = '{"kind":"uniform","n":20}'
 UNIFORM4 = '{"kind":"uniform","n":4}'
@@ -203,6 +203,23 @@ class TestExitCodes:
     def test_bad_rmax_exits_1(self, tmp_path):
         assert run("simulate", "--inline", UNIFORM4, "--target", "1",
                    "--rmax", "0", "--out", str(tmp_path)) == 1
+
+    def test_rmax_above_cap_exits_1(self, tmp_path, capsys):
+        # rejected while loading the config, before iterate allocates anything
+        assert run("simulate", "--inline", UNIFORM4, "--target", "1",
+                   "--rmax", str(MAX_RMAX + 1), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"<= {MAX_RMAX}" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_unbounded_continuum_sampling_exits_1(self, tmp_path, capsys):
+        # k = 21 of the alpha = 0.8 window: [0, 3T] at step 0.01 is ~7e14 rows
+        assert run("continuum", "--inline", COHERENT08, "--target", "21", "--svg",
+                   "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "validation error" in err
+        assert not (tmp_path / "continuum.csv").exists()
+        assert not (tmp_path / "continuum.svg").exists()
 
     def test_unknown_target_exits_1(self, tmp_path):
         assert run("simulate", "--inline", UNIFORM4, "--target", "9",

@@ -2,9 +2,10 @@
 
 `test_criterion_8` only compares two fresh runs with each other, so a change
 that alters every run the same way would slip past it. Here the sha256 of
-each `repro fig2..fig6` artifact, and of the files and standard output of
-`compare --svg` on two fixed weight tables, is checked against the manifest
-`golden_sha256.json`.
+each `repro fig2..fig6` artifact, of the files and standard output of
+`compare --svg` on two fixed weight tables, and of `simulate --svg` (5001
+rows with imaginary parts) and `continuum --svg` on a complex-alpha coherent
+window, is checked against the manifest `golden_sha256.json`.
 
 An intended output change must be named in CHANGES.md; regenerate the
 manifest with
@@ -41,6 +42,21 @@ def fixed_table() -> list[float]:
 # |P| up to 0.9999: the aliased branch, whose first peak lies near r = 111.
 HEAVY_TABLE = [0.9998, 0.0001, 0.00005, 0.00005]
 
+# alpha = 1.2 e^{0.7i} (written out, so no platform's libm enters the spec) on
+# photon numbers 0..12; P(6) = -0.0266 - 0.0472i, |P|^2 = 2.9e-3, so both
+# coefficients carry imaginary parts.
+COMPLEX_SPEC = json.dumps({"kind": "coherent", "alpha_re": 0.9178106247413862,
+                           "alpha_im": 0.7730612246852292, "q1": 0, "n": 12})
+COMPLEX_TARGET = "6"
+
+
+def run_pinned(out: Path, name: str, *argv: str) -> None:
+    """`wgrover ARGV --svg --out out/name`, its standard output kept as stdout.txt."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main([*argv, "--svg", "--out", str(out / name)]) == 0
+    (out / name / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+
 
 def produce(out: Path) -> dict[str, str]:
     """Run every pinned command under `out`; map relative path to sha256."""
@@ -48,10 +64,11 @@ def produce(out: Path) -> dict[str, str]:
         assert main(["repro", fig, "--out", str(out)]) == 0
     for name, weights in (("compare", fixed_table()), ("compare_heavy", HEAVY_TABLE)):
         spec = json.dumps({"kind": "weights", "weights": weights})
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert main(["compare", "--inline", spec, "--svg", "--out", str(out / name)]) == 0
-        (out / name / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+        run_pinned(out, name, "compare", "--inline", spec)
+    run_pinned(out, "simulate_complex", "simulate", "--inline", COMPLEX_SPEC,
+               "--target", COMPLEX_TARGET, "--rmax", "5000")
+    run_pinned(out, "continuum_complex", "continuum", "--inline", COMPLEX_SPEC,
+               "--target", COMPLEX_TARGET)
     return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))

@@ -165,6 +165,70 @@ class TestIterate:
             iterate(uniform(4), 1, 0)
 
 
+def two_label_distribution(p_k: complex) -> AmplitudeDistribution:
+    return AmplitudeDistribution(labels=(1, 2), amplitudes=[p_k, math.sqrt(1.0 - abs(p_k) ** 2)])
+
+
+def step_oracle(p_k: complex, r_max: int) -> list[tuple[TwoDState, float]]:
+    """(state, probability) for r = 0..r_max, one step() call at a time."""
+    state = TwoDState(a=1.0 + 0.0j, b=0.0 + 0.0j)
+    out = [(state, success_probability(state, p_k))]
+    for _ in range(r_max):
+        state = step(state, p_k)
+        out.append((state, success_probability(state, p_k)))
+    return out
+
+
+class TestIterateMatchesStepOracle:
+    """iterate's array loop must reproduce step/success_probability bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_p=st.floats(min_value=-14.0, max_value=math.log10(0.9999 ** 2)),
+        phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        r_max=st.integers(min_value=1, max_value=2000),
+    )
+    @example(log_p=-14.0, phase=0.3, r_max=2000)  # |P|^2 = 1e-14: factor rounds near 1
+    @example(log_p=math.log10(0.9999 ** 2), phase=2.0, r_max=300)  # aliased, peak ~ 111
+    @example(log_p=math.log10(0.75 ** 2), phase=0.0, r_max=50)  # aliased, real
+    @example(log_p=math.log10(0.05), phase=math.pi, r_max=40)
+    def test_arrays_equal_step_loop(self, log_p, phase, r_max):
+        p_k = math.sqrt(10.0 ** log_p) * complex(math.cos(phase), math.sin(phase))
+        dist = two_label_distribution(p_k)
+        traj = iterate(dist, 1, r_max)
+        oracle = step_oracle(dist.amplitude(1), r_max)
+        want_a = np.array([s.a for s, _ in oracle], dtype=np.complex128)
+        want_b = np.array([s.b for s, _ in oracle], dtype=np.complex128)
+        want_prob = np.array([prob for _, prob in oracle])
+        # bytes, not ==: a signed zero would print differently in the CSV
+        assert traj.a.tobytes() == want_a.tobytes()
+        assert traj.b.tobytes() == want_b.tobytes()
+        assert traj.prob.tobytes() == want_prob.tobytes()
+
+    def test_points_view(self):
+        dist = two_label_distribution(0.2 - 0.1j)
+        traj = iterate(dist, 1, 25)
+        oracle = step_oracle(dist.amplitude(1), 25)
+        points = traj.points
+        assert len(points) == 26
+        for pt, want in ((points[0], oracle[0]), (points[-1], oracle[-1])):
+            assert (pt.state, pt.success_prob) == want
+        assert points[-1].r == 25 and points[-26].r == 0
+        assert [(pt.r, pt.state, pt.success_prob) for pt in points] == [
+            (r, state, prob) for r, (state, prob) in enumerate(oracle)
+        ]
+        assert type(points[3].state.a) is complex and type(points[3].success_prob) is float
+        for bad in (26, -27):
+            with pytest.raises(IndexError):
+                points[bad]
+
+    def test_arrays_are_read_only(self):
+        traj = iterate(uniform(20), 1, 5)
+        for arr in (traj.a, traj.b, traj.prob):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestFirstPeak:
     def test_n20_peaks_at_three(self):
         traj = iterate(uniform(20), 1, 10)
