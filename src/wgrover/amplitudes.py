@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,25 +24,28 @@ from .errors import DomainError, LabelNotFoundError
 
 NORM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-6
+# Upper bound on a spec's n and weights list, checked before any allocation.
+MAX_ENTRIES = 10**6
 
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeDistribution:
-    """Complex amplitudes P(n) over strictly increasing integer labels.
+    """Complex amplitudes P(n) over consecutive ascending integer labels.
 
-    Invariants checked at construction: at least two entries, finite
-    amplitudes with unit total probability (within 1e-12), unique ascending
-    labels.  Instances are immutable; the amplitude array is marked
-    read-only.
+    labels is stored as a range with step 1; a range input with step 1 is
+    kept as-is, any other iterable is checked once to be consecutive
+    ascending integers.  Invariants checked at construction: at least two
+    entries, finite amplitudes with unit total probability (within 1e-12).
+    Instances are immutable; the amplitude array is marked read-only.
     """
 
-    labels: tuple[int, ...]
+    labels: range
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "labels", tuple(int(l) for l in self.labels))
+        object.__setattr__(self, "labels", _label_range(self.labels))
         if len(self.labels) < 2:
             raise DomainError(
                 f"a database needs at least 2 entries, got {len(self.labels)} "
@@ -50,8 +53,6 @@ class AmplitudeDistribution:
             )
         if len(self.labels) != amps.shape[0] or amps.ndim != 1:
             raise DomainError("labels and amplitudes must be 1-d and equally long")
-        if any(b <= a for a, b in zip(self.labels, self.labels[1:])):
-            raise DomainError(f"labels must be strictly increasing, got {self.labels}")
         total = float(np.sum(np.abs(amps) ** 2))
         # a NaN or infinite amplitude makes the sum NaN or infinite
         if not math.isfinite(total):
@@ -63,22 +64,21 @@ class AmplitudeDistribution:
             )
         amps.setflags(write=False)
 
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {label: i for i, label in enumerate(self.labels)}
-
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def index_of(self, k: int) -> int:
-        """Position of label k in the amplitude array."""
+        """Position of label k in the amplitude array, in O(1)."""
         try:
-            return self._index[k]
-        except KeyError:
+            i = operator.index(k) - self.labels.start
+        except TypeError:
+            i = -1
+        if not 0 <= i < len(self.labels):
             raise LabelNotFoundError(
                 f"label {k} not in distribution (labels {self.labels[0]}..{self.labels[-1]})"
-            ) from None
+            )
+        return i
 
     def amplitude(self, k: int) -> complex:
         """P(k) for basis label k."""
@@ -87,6 +87,25 @@ class AmplitudeDistribution:
     def proportions(self) -> np.ndarray:
         """All |P(n)|^2 in label order."""
         return np.abs(self.amplitudes) ** 2
+
+
+def _label_range(labels) -> range:
+    """labels as a range with step 1; raises unless consecutive ascending integers."""
+    if isinstance(labels, range) and labels.step == 1:
+        return labels
+    try:
+        ints = [operator.index(label) for label in labels]
+    except TypeError:
+        raise DomainError("labels must be integers") from None
+    first = ints[0] if ints else 0
+    span = range(first, first + len(ints))
+    for i, (label, want) in enumerate(zip(ints, span)):
+        if label != want:
+            raise DomainError(
+                f"labels must be consecutive ascending integers: label {label} "
+                f"at position {i}, expected {want}"
+            )
+    return span
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +147,7 @@ def uniform(n: int) -> AmplitudeDistribution:
     if n < 2:
         raise DomainError(f"uniform database needs N >= 2, got {n}")
     amps = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    return AmplitudeDistribution(labels=tuple(range(1, n + 1)), amplitudes=amps)
+    return AmplitudeDistribution(labels=range(1, n + 1), amplitudes=amps)
 
 
 def _log_sum_exp(values: np.ndarray) -> float:
@@ -168,7 +187,7 @@ def truncated_coherent(alpha: complex, q1: int, n: int) -> AmplitudeDistribution
     phase = cmath.phase(complex(alpha))
     amps = np.exp(log_mag) * np.exp(1j * phase * ks)
     amps /= np.linalg.norm(amps)
-    return AmplitudeDistribution(labels=tuple(int(k) for k in ks), amplitudes=amps)
+    return AmplitudeDistribution(labels=range(q1, q1 + n + 1), amplitudes=amps)
 
 
 def from_weights(db: WeightedDatabase) -> AmplitudeDistribution:
@@ -204,20 +223,27 @@ def load_spec(spec: dict) -> AmplitudeDistribution:
       {"kind": "uniform", "n": 20}
       {"kind": "coherent", "alpha_re": 0.8, "alpha_im": 0.0, "q1": 1, "n": 20}
       {"kind": "weights", "weights": [...]}
+
+    n and the length of the weights list are capped at MAX_ENTRIES; the
+    Python constructors are not.
     """
     if not isinstance(spec, dict):
         raise DomainError(f"distribution spec must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind")
     try:
         if kind == "uniform":
-            return uniform(_int_field(spec, "n"))
+            return uniform(_size_field(spec))
         if kind == "coherent":
             alpha = complex(float(spec["alpha_re"]), float(spec.get("alpha_im", 0.0)))
-            return truncated_coherent(alpha, _int_field(spec, "q1"), _int_field(spec, "n"))
+            return truncated_coherent(alpha, _int_field(spec, "q1"), _size_field(spec))
         if kind == "weights":
             weights = spec["weights"]
             if not isinstance(weights, (list, tuple)):
                 raise DomainError("'weights' must be a list of numbers")
+            if len(weights) > MAX_ENTRIES:
+                raise DomainError(
+                    f"'weights' may have at most {MAX_ENTRIES} entries, got {len(weights)}"
+                )
             return from_weights(weights_from_list(list(weights)))
     except KeyError as exc:
         raise DomainError(f"distribution spec is missing field {exc}") from None
@@ -234,6 +260,14 @@ def _int_field(spec: dict, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"'{name}' must be an integer, got {value!r}")
     return value
+
+
+def _size_field(spec: dict) -> int:
+    """spec["n"] as an integer no larger than MAX_ENTRIES."""
+    n = _int_field(spec, "n")
+    if n > MAX_ENTRIES:
+        raise DomainError(f"'n' must be <= {MAX_ENTRIES}, got {n}")
+    return n
 
 
 def _check_coherent_args(alpha: complex, q1: int, n: int) -> None:

@@ -140,13 +140,14 @@ def cmd_dist(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    out = _ensure_out(config)
     k = _require_target(config)
     traj = grover_core.iterate(config.dist, k, config.r_max)
+    # a run without a peak exits 3 before anything is written
+    r_star, prob = grover_core.first_peak(traj)
+    out = _ensure_out(config)
     csvio.write_trajectory(out / "trajectory.csv", traj)
     if config.want_svg:
         _trajectory_svg(out / "trajectory.svg", traj, f"recurrence, target k={k}")
-    r_star, prob = grover_core.first_peak(traj)
     print(f"r*={r_star} prob={prob:.6g}")
     return EXIT_OK
 
@@ -166,7 +167,8 @@ def cmd_compare(config: RunConfig) -> int:
     rows = analysis.comparison_table(config.dist)
     csvio.write_comparison(out / "comparison.csv", rows)
     if config.want_svg:
-        _comparison_svgs(out / "comparison_recip.svg", out / "comparison_log.svg", rows)
+        _comparison_svg(out / "comparison_recip.svg", rows, "reciprocal step numbers")
+        _comparison_svg(out / "comparison_log.svg", rows, "log step numbers", log=True)
     verdict = analysis.global_speedup(config.dist)
     failures = analysis.local_failures(config.dist)
     print(
@@ -181,24 +183,16 @@ def cmd_compare(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _comparison_svgs(recip_path: Path, log_path: Path, rows) -> None:
+def _comparison_svg(path: Path, rows, title: str, log: bool = False) -> None:
+    """Classical vs Grover step numbers per label: reciprocals, or logs if log."""
     ks = [float(r.k) for r in rows]
-    svg.line_plot(
-        recip_path,
-        [
-            ("classical p_k", ks, [r.recip_classical for r in rows]),
-            ("grover dt(k)", ks, [r.recip_grover for r in rows]),
-        ],
-        "reciprocal step numbers", "label k", "1/steps",
-    )
-    svg.line_plot(
-        log_path,
-        [
-            ("classical", ks, [r.ln_classical for r in rows]),
-            ("grover", ks, [r.ln_grover for r in rows]),
-        ],
-        "log step numbers", "label k", "ln(steps)",
-    )
+    if log:
+        series = [("classical", ks, [r.ln_classical for r in rows]),
+                  ("grover", ks, [r.ln_grover for r in rows])]
+    else:
+        series = [("classical p_k", ks, [r.recip_classical for r in rows]),
+                  ("grover dt(k)", ks, [r.recip_grover for r in rows])]
+    svg.line_plot(path, series, title, "label k", "ln(steps)" if log else "1/steps")
 
 
 def _trajectory_svg(path: Path, traj: grover_core.Trajectory, title: str) -> None:
@@ -253,25 +247,12 @@ def cmd_repro(config: RunConfig, figure: str) -> int:
         for alpha in FIGURE_ALPHAS:
             rows = analysis.comparison_table(_coherent_figure_dist(alpha))
             csvio.write_comparison(out / f"alpha_{alpha}.csv", rows)
-            ks = [float(r.k) for r in rows]
             if figure == "fig5":
-                svg.line_plot(
-                    out / f"alpha_{alpha}_recip.svg",
-                    [
-                        ("classical p_k", ks, [r.recip_classical for r in rows]),
-                        ("grover dt(k)", ks, [r.recip_grover for r in rows]),
-                    ],
-                    f"reciprocal steps, alpha={alpha}", "label k", "1/steps",
-                )
+                _comparison_svg(out / f"alpha_{alpha}_recip.svg", rows,
+                                f"reciprocal steps, alpha={alpha}")
             else:
-                svg.line_plot(
-                    out / f"alpha_{alpha}_log.svg",
-                    [
-                        ("classical", ks, [r.ln_classical for r in rows]),
-                        ("grover", ks, [r.ln_grover for r in rows]),
-                    ],
-                    f"log steps, alpha={alpha}", "label k", "ln(steps)",
-                )
+                _comparison_svg(out / f"alpha_{alpha}_log.svg", rows,
+                                f"log steps, alpha={alpha}", log=True)
     print(f"wrote {figure} artifacts under {out}")
     return EXIT_OK
 

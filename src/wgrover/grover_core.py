@@ -258,29 +258,29 @@ def estimated_peak(p_k: complex) -> float:
     return math.pi / (4.0 * math.asin(abs(p_k))) - 0.5
 
 
-def _database_vector(dist: AmplitudeDistribution) -> np.ndarray:
-    return np.asarray(dist.amplitudes, dtype=np.complex128)
-
-
 def dense_apply_G(state: np.ndarray, dist: AmplitudeDistribution, k: int) -> np.ndarray:
     """Apply G = U_D U_k to a dense state vector, matrix-free.
 
     U_k flips the target component; U_D reflects about |D>, realized as
-    2 <D|v> D - v.  Norm is preserved to rounding.
+    2 <D|w> D - w with w = U_k v.  Fused so w is never built:
+    <D|w> = <D|v> - 2 conj(D_k) v_k, and G v = 2 <D|w> D - v + 2 v_k e_k,
+    computed into one new array.  Norm is preserved to rounding.
     """
     v = np.asarray(state, dtype=np.complex128)
     if v.shape != dist.amplitudes.shape:
         raise DomainError(
             f"state has shape {v.shape}, distribution has {dist.amplitudes.shape}"
         )
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(np.vdot(v, v).real)
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise DomainError(f"state norm {norm!r} is not 1 within {STATE_NORM_TOL}")
     idx = dist.index_of(k)
-    d = _database_vector(dist)
-    v = v.copy()
-    v[idx] = -v[idx]
-    return 2.0 * np.vdot(d, v) * d - v
+    d = dist.amplitudes
+    v_k = v[idx]
+    out = 2.0 * (np.vdot(d, v) - 2.0 * d[idx].conjugate() * v_k) * d
+    out -= v
+    out[idx] += 2.0 * v_k
+    return out
 
 
 def project_onto_subspace(
@@ -301,7 +301,7 @@ def project_onto_subspace(
     p_k = complex(dist.amplitudes[idx])
     if abs(p_k) >= 1.0:
         raise DomainError("|P(k)| = 1 makes {D, e_k} colinear; Gram system singular")
-    d = _database_vector(dist)
+    d = dist.amplitudes
     rhs_d = np.vdot(d, v)  # <D|v>
     rhs_k = complex(v[idx])  # <e_k|v>
     det = 1.0 - abs(p_k) ** 2

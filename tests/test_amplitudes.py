@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgrover import amplitudes
 from wgrover.amplitudes import (
+    MAX_ENTRIES,
     AmplitudeDistribution,
     WeightedDatabase,
     coherent_normalization,
@@ -33,11 +35,19 @@ def naive_coherent_magnitudes(alpha_abs: float, q1: int, n: int) -> list[float]:
     ]
 
 
+def _forbid_building(monkeypatch):
+    """Make every distribution builder behind load_spec fail if it is reached."""
+    def build(*args):
+        raise AssertionError("load_spec built a distribution past MAX_ENTRIES")
+    for name in ("uniform", "truncated_coherent", "weights_from_list"):
+        monkeypatch.setattr(amplitudes, name, build)
+
+
 class TestUniform:
     def test_n4_amplitudes_exact(self):
         dist = uniform(4)
         np.testing.assert_array_equal(dist.amplitudes, np.full(4, 0.5 + 0j))
-        assert dist.labels == (1, 2, 3, 4)
+        assert dist.labels == range(1, 5)
 
     def test_n20_amplitude_value(self):
         dist = uniform(20)
@@ -70,12 +80,12 @@ class TestTruncatedCoherent:
 
     def test_window_is_n_plus_one_labels(self):
         dist = truncated_coherent(0.8, 1, 20)
-        assert dist.labels == tuple(range(1, 22))
+        assert dist.labels == range(1, 22)
         assert dist.size == 21
 
     def test_q1_zero_window(self):
         dist = truncated_coherent(1.2, 0, 5)
-        assert dist.labels == (0, 1, 2, 3, 4, 5)
+        assert dist.labels == range(0, 6)
         assert np.sum(dist.proportions()) == pytest.approx(1.0, abs=1e-12)
 
     def test_complex_alpha_carries_phase_k_arg_alpha(self):
@@ -184,6 +194,22 @@ class TestProportion:
             uniform(4).amplitude(0)
 
 
+class TestIndexOf:
+    def test_window_ends_and_neighbours(self):
+        dist = truncated_coherent(0.8, 5, 9)  # labels 5..14
+        assert dist.index_of(5) == 0
+        assert dist.index_of(14) == 9
+        assert dist.index_of(np.int64(6)) == 1
+        for k in (4, 15):
+            with pytest.raises(LabelNotFoundError, match=r"label \d+ not in distribution \(labels 5\.\.14\)"):
+                dist.index_of(k)
+
+    @pytest.mark.parametrize("k", [6.0, 6.5, "6", None])
+    def test_non_integer_label_not_found(self, k):
+        with pytest.raises(LabelNotFoundError):
+            truncated_coherent(0.8, 5, 9).index_of(k)
+
+
 class TestInvariants:
     @pytest.mark.parametrize(
         "dist",
@@ -210,6 +236,21 @@ class TestInvariants:
             AmplitudeDistribution(labels=(1, 3, 3), amplitudes=amps)
         with pytest.raises(DomainError):
             AmplitudeDistribution(labels=(3, 2, 1), amplitudes=amps)
+
+    @pytest.mark.parametrize(
+        "labels", [(1, 3, 4), range(1, 7, 2), (1.5, 2.5, 3.5)], ids=["gap", "step-2", "float"]
+    )
+    def test_labels_must_be_consecutive_integers(self, labels):
+        amps = np.full(3, 1 / math.sqrt(3))
+        with pytest.raises(DomainError, match="labels must be"):
+            AmplitudeDistribution(labels=labels, amplitudes=amps)
+
+    def test_labels_stored_as_range(self):
+        amps = np.full(3, 1 / math.sqrt(3))
+        labels = range(4, 7)
+        assert AmplitudeDistribution(labels=labels, amplitudes=amps).labels is labels
+        assert AmplitudeDistribution(labels=[4, 5, 6], amplitudes=amps).labels == range(4, 7)
+        assert AmplitudeDistribution(labels=np.arange(4, 7), amplitudes=amps).labels == range(4, 7)
 
     def test_immutable_amplitudes(self):
         dist = uniform(4)
@@ -260,6 +301,21 @@ class TestLoadSpec:
     def test_weights_kind_rejects_large_drift(self):
         with pytest.raises(DomainError):
             load_spec({"kind": "weights", "weights": [0.25, 0.751]})
+
+    @pytest.mark.parametrize("n", [MAX_ENTRIES + 1, 10**12])
+    @pytest.mark.parametrize("kind", ["uniform", "coherent"])
+    def test_n_above_cap_rejected_before_allocation(self, monkeypatch, kind, n):
+        _forbid_building(monkeypatch)
+        with pytest.raises(DomainError, match=f"'n' must be <= {MAX_ENTRIES}, got {n}"):
+            load_spec({"kind": kind, "alpha_re": 0.8, "q1": 1, "n": n})
+
+    def test_weights_above_cap_rejected_before_building(self, monkeypatch):
+        _forbid_building(monkeypatch)
+        with pytest.raises(DomainError, match=f"at most {MAX_ENTRIES} entries"):
+            load_spec({"kind": "weights", "weights": [1.0 / MAX_ENTRIES] * (MAX_ENTRIES + 1)})
+
+    def test_n_at_cap_accepted(self):
+        assert load_spec({"kind": "uniform", "n": MAX_ENTRIES}).size == MAX_ENTRIES
 
     def test_bad_specs(self):
         with pytest.raises(DomainError):

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from wgrover import csvio, grover_core
-from wgrover.amplitudes import load_spec
+from wgrover import amplitudes, csvio, grover_core
+from wgrover.amplitudes import MAX_ENTRIES, load_spec
 from wgrover.cli import MAX_RMAX, main
 
 UNIFORM20 = '{"kind":"uniform","n":20}'
@@ -92,8 +92,8 @@ class TestSimulateCommand:
         assert run("simulate", "--inline", UNIFORM20, "--target", "1",
                    "--rmax", "1", "--out", str(tmp_path)) == 3
         assert "r_max" in capsys.readouterr().err
-        # the trajectory itself is still written
-        assert (tmp_path / "trajectory.csv").exists()
+        # the peak is found before anything is written
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestContinuumCommand:
@@ -211,6 +211,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"<= {MAX_RMAX}" in err
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind":"uniform","n":1000000000000}',
+            '{"kind":"coherent","alpha_re":0.8,"q1":1,"n":1000001}',
+        ],
+        ids=["uniform-1e12", "coherent-cap+1"],
+    )
+    def test_n_above_cap_exits_1(self, tmp_path, capsys, monkeypatch, spec):
+        def build(*args):
+            raise AssertionError("built a distribution past MAX_ENTRIES")
+        monkeypatch.setattr(amplitudes, "uniform", build)
+        monkeypatch.setattr(amplitudes, "truncated_coherent", build)
+        assert run("dist", "--inline", spec, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"<= {MAX_ENTRIES}" in err
+        assert not (tmp_path / "dist.csv").exists()
 
     def test_unbounded_continuum_sampling_exits_1(self, tmp_path, capsys):
         # k = 21 of the alpha = 0.8 window: [0, 3T] at step 0.01 is ~7e14 rows

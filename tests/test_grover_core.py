@@ -349,6 +349,41 @@ class TestDenseOracle:
             dense_apply_G(np.ones(4, dtype=complex), uniform(4), 1)
 
 
+def reference_apply_G(state, dist, k):
+    """G v written out literally: copy v, flip v_k, then 2 <D|v> D - v."""
+    v = np.array(state, dtype=np.complex128)
+    i = dist.index_of(k)
+    v[i] = -v[i]
+    d = np.asarray(dist.amplitudes)
+    return 2.0 * np.vdot(d, v) * d - v
+
+
+class TestFusedDenseStep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=3, max_value=64),
+        coherent=st.booleans(),
+        where=st.sampled_from(["first", "middle", "last"]),
+    )
+    def test_matches_literal_reference(self, seed, n, coherent, where):
+        rng = np.random.default_rng(seed)
+        if coherent:
+            # a window starting at q1 = 5, so labels and positions differ
+            alpha = rng.uniform(0.5, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+            dist = truncated_coherent(alpha, 5, n - 1)
+        else:
+            dist = random_distribution(rng, n)
+        first = dist.labels.start
+        k = {"first": first, "middle": first + n // 2, "last": first + n - 1}[where]
+        state = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        state /= np.linalg.norm(state)
+        before = state.copy()
+        out = dense_apply_G(state, dist, k)
+        np.testing.assert_allclose(out, reference_apply_G(state, dist, k), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(state, before)
+
+
 class TestProjection:
     def test_database_state(self):
         dist = uniform(20)
