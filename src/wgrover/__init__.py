@@ -43,7 +43,6 @@ from .grover_core import (
     TrajectoryPoint,
     TwoDState,
     dense_apply_G,
-    estimated_peak,
     first_peak,
     iterate,
     project_onto_subspace,
@@ -78,7 +77,6 @@ __all__ = [
     "success_probability",
     "first_peak",
     "scan_first_peak",
-    "estimated_peak",
     "dense_apply_G",
     "project_onto_subspace",
     "delta_tilde",

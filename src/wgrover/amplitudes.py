@@ -51,7 +51,7 @@ class AmplitudeDistribution:
                 f"a database needs at least 2 entries, got {len(self.labels)} "
                 "(a single entry is found in one step and is excluded)"
             )
-        if len(self.labels) != amps.shape[0] or amps.ndim != 1:
+        if amps.ndim != 1 or len(self.labels) != amps.shape[0]:
             raise DomainError("labels and amplitudes must be 1-d and equally long")
         total = float(np.sum(np.abs(amps) ** 2))
         # a NaN or infinite amplitude makes the sum NaN or infinite
@@ -120,15 +120,7 @@ class WeightedDatabase:
     def __post_init__(self) -> None:
         entries = tuple((int(k), float(p)) for k, p in self.entries)
         object.__setattr__(self, "entries", entries)
-        if any(p <= 0 for _, p in entries):
-            raise DomainError("all proportions must be positive")
-        total = math.fsum(p for _, p in entries)
-        if not math.isfinite(total):
-            raise DomainError(f"proportions must be finite: they sum to {total!r}")
-        if abs(total - 1.0) > NORM_TOL:
-            raise DomainError(
-                f"proportions sum to {total!r}, must be 1 within {NORM_TOL}"
-            )
+        _check_proportions([p for _, p in entries])
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -207,13 +199,47 @@ def weights_from_list(weights: list[float]) -> WeightedDatabase:
     The sum must already be within 1e-6 of 1; anything further off is
     rejected as a malformed database rather than silently rescaled.
     """
-    total = math.fsum(float(w) for w in weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    props = _renormalized([float(w) for w in weights])
+    return WeightedDatabase(entries=tuple(enumerate(props.tolist(), start=1)))
+
+
+def _renormalized(weights: list) -> np.ndarray:
+    """weights / fsum(weights) as float64, once the sum is within 1e-6 of 1."""
+    total = math.fsum(weights)
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise DomainError(
             f"weights sum to {total!r}; must be within {WEIGHT_SUM_TOL} of 1"
         )
-    entries = tuple((i + 1, float(w) / total) for i, w in enumerate(weights))
-    return WeightedDatabase(entries=entries)
+    return np.array(weights, dtype=np.float64) / total
+
+
+def _check_proportions(props: list[float]) -> None:
+    """Proportions must be positive, finite and sum to 1 within 1e-12."""
+    if any(p <= 0 for p in props):
+        raise DomainError("all proportions must be positive")
+    total = math.fsum(props)
+    if not math.isfinite(total):
+        raise DomainError(f"proportions must be finite: they sum to {total!r}")
+    if abs(total - 1.0) > NORM_TOL:
+        raise DomainError(
+            f"proportions sum to {total!r}, must be 1 within {NORM_TOL}"
+        )
+
+
+def _weights_distribution(weights: list) -> AmplitudeDistribution:
+    """Real amplitudes sqrt(w / sum w) over labels 1..N, straight from a spec's list.
+
+    Only numbers are accepted: JSON booleans and strings are rejected, not
+    converted.  The checks are those of weights_from_list and
+    WeightedDatabase, without building either.
+    """
+    # one check per distinct entry type, not per entry
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, weights))):
+        raise DomainError("'weights' must be a list of numbers")
+    props = _renormalized(weights)
+    _check_proportions(props.tolist())
+    return AmplitudeDistribution(labels=range(1, len(weights) + 1),
+                                 amplitudes=np.sqrt(props).astype(np.complex128))
 
 
 def load_spec(spec: dict) -> AmplitudeDistribution:
@@ -244,7 +270,7 @@ def load_spec(spec: dict) -> AmplitudeDistribution:
                 raise DomainError(
                     f"'weights' may have at most {MAX_ENTRIES} entries, got {len(weights)}"
                 )
-            return from_weights(weights_from_list(list(weights)))
+            return _weights_distribution(weights)
     except KeyError as exc:
         raise DomainError(f"distribution spec is missing field {exc}") from None
     except DomainError:

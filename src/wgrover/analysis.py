@@ -16,23 +16,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import grover_core
 from .amplitudes import AmplitudeDistribution, WeightedDatabase
 from .continuum import delta_tilde
-from .errors import DomainError, NoPeakError
+from .errors import DomainError
 
-# Rows whose closed-form peak estimate exceeds this budget report no
-# discrete peak: the table's contract, not a cost limit (the peak itself is
+# Rows whose first crest x* lies beyond this budget (x* + 2 > budget) report
+# no discrete peak: the table's contract, not a cost limit (every peak is
 # found in O(1)).  Tail labels of a coherent window would peak at ~1e12.
 DEFAULT_PEAK_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Per-target step metrics behind the reciprocal and log comparisons."""
+class ComparisonRow(NamedTuple):
+    """Per-target step metrics behind the reciprocal and log comparisons.
+
+    Fields are in the column order of the comparison CSV.
+    """
 
     k: int
     p_k: float
@@ -75,11 +78,11 @@ def local_speedup(dist: AmplitudeDistribution, k: int) -> bool:
     return 1.0 / delta_tilde(p_k) < 1.0 / prop
 
 
-def _label_metrics(dist: AmplitudeDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """|P(k)|^2 and delta_tilde(k) for every label, in label order.
+def _label_metrics(dist: AmplitudeDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|P(k)|, |P(k)|^2 and delta_tilde(k) for every label, in label order.
 
     np.hypot and np.float_power call the same libm routines as abs() and **
-    on a Python complex, so each entry equals abs(P(k)) ** 2 and
+    on a Python complex, so each entry equals abs(P(k)), abs(P(k)) ** 2 and
     delta_tilde(P(k)) bit for bit (np.abs and ** round differently).
     """
     amps = dist.amplitudes
@@ -89,12 +92,12 @@ def _label_metrics(dist: AmplitudeDistribution) -> tuple[np.ndarray, np.ndarray]
     if degenerate.any():
         i = int(np.argmax(degenerate))
         raise DomainError(f"|P({dist.labels[i]})|^2 = {float(props[i])!r} is degenerate")
-    return props, np.sqrt(props - np.float_power(mag, 4))
+    return mag, props, np.sqrt(props - np.float_power(mag, 4))
 
 
 def global_speedup(dist: AmplitudeDistribution) -> SpeedupVerdict:
     """Does Grover beat classical search for every target simultaneously?"""
-    props, dts = _label_metrics(dist)
+    _, props, dts = _label_metrics(dist)
     grover_scales, classical_steps = 1.0 / dts, 1.0 / props
     g = int(np.argmax(grover_scales))
     c = int(np.argmin(classical_steps))
@@ -110,42 +113,27 @@ def global_speedup(dist: AmplitudeDistribution) -> SpeedupVerdict:
 def comparison_table(
     dist: AmplitudeDistribution, peak_budget: int = DEFAULT_PEAK_BUDGET
 ) -> list[ComparisonRow]:
-    """One row per label with classical and Grover step metrics.
+    """One row per label with classical and Grover step metrics, in one pass.
 
-    discrete_peak is the first peak of the exact recurrence
-    (grover_core.scan_first_peak); labels whose estimated peak lies beyond
-    peak_budget get None.
+    discrete_peak is the first peak of the exact recurrence, the integer
+    nearest the first crest x* of sin^2((2r + 1) asin|P(k)|)
+    (grover_core.first_peaks); labels with x* + 2 > peak_budget get None.
+    The log columns use math.log, since np.log differs from it in the last
+    bit on some inputs.
     """
-    props, dts = _label_metrics(dist)
-    rows = []
-    for k, prop, dt in zip(dist.labels, props.tolist(), dts.tolist()):
-        p_k = dist.amplitude(k)
-        peak: int | None
-        if grover_core.estimated_peak(p_k) + 2 > peak_budget:
-            peak = None
-        else:
-            try:
-                peak, _ = grover_core.scan_first_peak(dist, k, peak_budget)
-            except NoPeakError:
-                peak = None
-        rows.append(
-            ComparisonRow(
-                k=k,
-                p_k=prop,
-                classical_steps=1.0 / prop,
-                grover_scale=1.0 / dt,
-                discrete_peak=peak,
-                recip_classical=prop,
-                recip_grover=dt,
-                ln_classical=math.log(1.0 / prop),
-                ln_grover=math.log(1.0 / dt),
-            )
-        )
-    return rows
+    mag, props, dts = _label_metrics(dist)
+    crests = grover_core.first_crests(mag)
+    filled = crests + 2 <= peak_budget
+    peaks = np.full(len(props), None, dtype=object)
+    peaks[filled] = grover_core.first_peaks(crests[filled]).astype(np.int64)
+    p, dt = props.tolist(), dts.tolist()
+    classical, grover = (1.0 / props).tolist(), (1.0 / dts).tolist()
+    return list(map(ComparisonRow, dist.labels, p, classical, grover, peaks.tolist(),
+                    p, dt, map(math.log, classical), map(math.log, grover)))
 
 
 def local_failures(dist: AmplitudeDistribution) -> list[int]:
     """Labels for which the local speedup condition fails."""
-    props, dts = _label_metrics(dist)
+    _, props, dts = _label_metrics(dist)
     fails = ~(1.0 / dts < 1.0 / props)
     return [dist.labels[i] for i in np.flatnonzero(fails).tolist()]

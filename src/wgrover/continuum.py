@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .errors import DomainError
 
 Branch = Literal["overdamped", "critical", "oscillatory"]
@@ -128,25 +130,33 @@ def fit_one_step_solution(p_k: complex) -> ContinuumSolution:
     return fit_solution(p_k, 1.0 - 4.0 * mag**2, 2.0 * complex(p_k))
 
 
-def eval_fa(sol: ContinuumSolution, x: float) -> float:
-    """f_a(x) = e^{gamma x} (c1 cos(beta x) + c2 sin(beta x))."""
-    return math.exp(sol.gamma * x) * (
-        sol.c1 * math.cos(sol.beta * x) + sol.c2 * math.sin(sol.beta * x)
+def _libm_exp(values: np.ndarray) -> np.ndarray:
+    """exp of each entry through math.exp; np.exp differs from it in the last bit."""
+    return np.fromiter(map(math.exp, values.ravel().tolist()), np.float64,
+                       values.size).reshape(values.shape)
+
+
+def eval_fa(sol: ContinuumSolution, x):
+    """f_a(x) = e^{gamma x} (c1 cos(beta x) + c2 sin(beta x)), x a float or an array."""
+    x = np.asarray(x, dtype=np.float64)
+    return _libm_exp(sol.gamma * x) * (
+        sol.c1 * np.cos(sol.beta * x) + sol.c2 * np.sin(sol.beta * x)
     )
 
 
-def eval_fb(sol: ContinuumSolution, x: float) -> float:
-    """Closed-form f_b(x) of the real-convention system.
+def eval_fb(sol: ContinuumSolution, x):
+    """Closed-form f_b(x) of the real-convention system, x a float or an array.
 
     Derived from f_b = -(f_a' + 4|P|^2 f_a) / (2|P|); satisfies
     f_b' = 2 |P| f_a exactly, so f_b is stationary wherever f_a vanishes.
     """
+    x = np.asarray(x, dtype=np.float64)
     mag = abs(sol.p_k)
     cos_term = sol.beta * sol.c2 - sol.gamma * sol.c1
     sin_term = sol.beta * sol.c1 + sol.gamma * sol.c2
     return (
-        -math.exp(sol.gamma * x)
-        * (cos_term * math.cos(sol.beta * x) - sin_term * math.sin(sol.beta * x))
+        -_libm_exp(sol.gamma * x)
+        * (cos_term * np.cos(sol.beta * x) - sin_term * np.sin(sol.beta * x))
         / (2.0 * mag)
     )
 

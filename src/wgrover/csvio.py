@@ -87,28 +87,16 @@ def write_continuum(
             f"continuum sampling of [0, {x_max:.6g}] at step {x_step} needs "
             f"{steps + 1:.3g} rows, above the limit of {MAX_CONTINUUM_ROWS}"
         )
-    n = round(steps)
-    xs = [i * x_step for i in range(n + 1)]
-    fa = [eval_fa(sol, x) for x in xs]
-    fb = [eval_fb(sol, x) for x in xs]
-    _write(path, CONTINUUM_HEADER, CONTINUUM_ROW, zip(xs, fa, fb))
-    return np.array(xs), np.array(fa), np.array(fb)
+    xs = np.arange(round(steps) + 1) * x_step
+    fa, fb = eval_fa(sol, xs), eval_fb(sol, xs)
+    _write(path, CONTINUUM_HEADER, CONTINUUM_ROW, _array_rows(xs, fa, fb))
+    return xs, fa, fb
 
 
 def write_comparison(path: Path, rows: list[ComparisonRow]) -> None:
     out = (
-        (
-            row.k,
-            row.p_k,
-            row.classical_steps,
-            row.grover_scale,
-            "" if row.discrete_peak is None else row.discrete_peak,
-            row.recip_classical,
-            row.recip_grover,
-            row.ln_classical,
-            row.ln_grover,
-        )
-        for row in rows
+        (k, p, c, g, "" if peak is None else peak, rc, rg, lc, lg)
+        for k, p, c, g, peak, rc, rg, lc, lg in rows
     )
     _write(path, COMPARISON_HEADER, COMPARISON_ROW, out)
 

@@ -16,7 +16,8 @@ that projection, which keeps them in [0, 1] and in exact agreement with
 the dense oracle.
 
 That probability is exactly sin^2((2r + 1) asin|P(k)|), which is how
-scan_first_peak finds the first peak without stepping.
+first_crests and first_peaks find the first peak of any number of targets
+without stepping.
 """
 
 from __future__ import annotations
@@ -200,62 +201,55 @@ def first_peak(traj: Trajectory) -> tuple[int, float]:
     return found
 
 
-def _first_crest(mag: float) -> float:
-    """Continuous first crest x > 0 of sin^2((2x + 1) theta), theta = asin(mag).
+def first_crests(mag) -> np.ndarray:
+    """Continuous first crest x* > 0 of sin^2((2x + 1) theta), theta = asin(mag).
 
-    One step advances the angle by 2 theta.  Up to mag = 1/sqrt(2) that is
-    at most half the period pi of sin^2, so the samples climb straight to
-    the crest at (2x + 1) theta = pi/2.  Above it the samples alias: a step of
-    2 theta equals a step back by pi - 2 theta = 2 acos(mag), and the first
-    crest lies far away (x ~ 110.6 at mag = 0.9999).
+    mag holds |P(k)| values in (0, 1).  One step advances the angle by
+    2 theta.  Up to mag = 1/sqrt(2) that is at most half the period pi of
+    sin^2, so the samples climb straight to the crest at
+    (2x + 1) theta = pi/2.  Above it the samples alias: a step of 2 theta
+    equals a step back by pi - 2 theta = 2 acos(mag), and the first crest
+    lies far away (x ~ 110.6 at mag = 0.9999).
     """
-    if mag <= ALIAS_EDGE:
-        return math.pi / (4.0 * math.asin(mag)) - 0.5
-    return math.pi / (2.0 * math.acos(mag)) - 0.5
+    mag = np.asarray(mag, dtype=np.float64)
+    return np.where(mag <= ALIAS_EDGE, np.pi / (4.0 * np.arcsin(mag)),
+                    np.pi / (2.0 * np.arccos(mag))) - 0.5
+
+
+def first_peaks(crests) -> np.ndarray:
+    """First peak r* of the success probability for each first crest x*.
+
+    sin^2((2x + 1) theta) is symmetric about its crest, so the first
+    interior local maximum over integer r is the integer nearest x*, exact
+    halves going down (to the smaller r), and at least 1:
+    r* = max(1, ceil(x* - 1/2)) (Boyer, Brassard, Hoyer and Tapp 1998).
+    The values are whole float64 numbers, so a deep coherent tail with
+    x* ~ 1e100 does not overflow an integer type.
+    """
+    return np.maximum(np.ceil(np.asarray(crests) - 0.5), 1.0)
 
 
 def scan_first_peak(dist: AmplitudeDistribution, k: int, r_limit: int) -> tuple[int, float]:
     """First peak (r, probability) of the success probability, in O(1).
 
     The recurrence's success probability is exactly sin^2((2r + 1) theta)
-    with theta = asin|P(k)|.  Between two troughs it is unimodal, so the
-    first interior local maximum over integer r is an integer next to the
-    continuous first crest; _first_local_max picks it from the crest's
-    integer neighbours, ties going to the smaller r.  Same r as
-    first_peak(iterate(dist, k, r_max)) for any r_max > r; the probability
-    is the closed-form value.  A peak at or beyond r_limit raises
-    NoPeakError.
+    with theta = asin|P(k)|, and r is first_peaks of its first crest: the
+    same r as first_peak(iterate(dist, k, r_max)) for any r_max > r, except
+    where neighbouring r tie to rounding (|P(k)|^2 = 1/2 exactly, deep
+    tails).  The probability is the closed-form value.  A peak at or beyond
+    r_limit raises NoPeakError.
     """
     if r_limit < 2:
         raise NoPeakError(f"r_limit = {r_limit} cannot bracket a peak")
     p_k = dist.amplitude(k)
     _check_target_amplitude(p_k)
     mag = abs(p_k)
-    theta = math.asin(mag)
-    lo = max(1, math.floor(_first_crest(mag)))
-    window = [math.sin((2 * r + 1) * theta) ** 2 for r in range(lo - 1, lo + 3)]
-    found = _first_local_max(window)
-    if found is None:
-        raise ConsistencyError(
-            f"no local maximum next to the first crest of |P(k)| = {mag!r}"
-        )
-    r, prob = lo - 1 + found[0], found[1]
+    r = int(first_peaks(first_crests(mag)))
     if r >= r_limit:
         raise NoPeakError(
             f"no success-probability peak within r_max = {r_limit}; rerun with a larger r_max"
         )
-    return r, prob
-
-
-def estimated_peak(p_k: complex) -> float:
-    """Closed-form location pi/(4 arcsin|P(k)|) - 1/2 of the first crest.
-
-    Exact for |P(k)| <= 1/sqrt(2); above it the sampled crest aliases (see
-    scan_first_peak) and this value is below 1.  analysis.comparison_table
-    uses it as the peak budget that decides which rows carry a peak.
-    """
-    _check_target_amplitude(p_k)
-    return math.pi / (4.0 * math.asin(abs(p_k))) - 0.5
+    return r, math.sin((2 * r + 1) * math.asin(mag)) ** 2
 
 
 def dense_apply_G(state: np.ndarray, dist: AmplitudeDistribution, k: int) -> np.ndarray:

@@ -39,7 +39,7 @@ def _forbid_building(monkeypatch):
     """Make every distribution builder behind load_spec fail if it is reached."""
     def build(*args):
         raise AssertionError("load_spec built a distribution past MAX_ENTRIES")
-    for name in ("uniform", "truncated_coherent", "weights_from_list"):
+    for name in ("uniform", "truncated_coherent", "_weights_distribution"):
         monkeypatch.setattr(amplitudes, name, build)
 
 
@@ -226,6 +226,12 @@ class TestInvariants:
     def test_unit_total_probability(self, dist):
         assert abs(float(np.sum(dist.proportions())) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("amps", [1.0, [[0.6, 0.8]], np.zeros((2, 2))],
+                             ids=["scalar", "row", "matrix"])
+    def test_amplitudes_must_be_one_dimensional(self, amps):
+        with pytest.raises(DomainError, match="1-d"):
+            AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(DomainError):
             AmplitudeDistribution(labels=(1, 2), amplitudes=np.array([0.5, 0.5]))
@@ -297,6 +303,24 @@ class TestLoadSpec:
         drifted = [0.25, 0.75 + 5e-7]
         dist = load_spec({"kind": "weights", "weights": drifted})
         assert float(np.sum(dist.proportions())) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("weights", [[0.25, 0.75 + 5e-7], [0.1, 0.2, 0.3, 0.4], [1, 1e-9]])
+    def test_weights_kind_matches_weighted_database_path(self, weights):
+        dist = load_spec({"kind": "weights", "weights": weights})
+        ref = from_weights(weights_from_list(weights))
+        assert dist.labels == range(1, len(weights) + 1)
+        assert np.array_equal(dist.amplitudes, ref.amplitudes)
+
+    @pytest.mark.parametrize("weights", [[0.5, "0.5"], [True, 0.0], [0.5, False, 0.5], [[0.5], [0.5]],
+                                         [0.5, None]])
+    def test_weights_must_be_numbers(self, weights):
+        with pytest.raises(DomainError, match="list of numbers"):
+            load_spec({"kind": "weights", "weights": weights})
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5 + 2e-6], [0.0, 1.0], [-0.5, 1.5], [1.0], []])
+    def test_weights_kind_checks(self, weights):
+        with pytest.raises(DomainError):
+            load_spec({"kind": "weights", "weights": weights})
 
     def test_weights_kind_rejects_large_drift(self):
         with pytest.raises(DomainError):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wgrover.amplitudes import (
     AmplitudeDistribution,
     WeightedDatabase,
+    load_spec,
     truncated_coherent,
     uniform,
     weights_from_list,
@@ -21,6 +24,7 @@ from wgrover.analysis import (
 )
 from wgrover.continuum import delta_tilde
 from wgrover.errors import DomainError
+from wgrover.grover_core import first_peak, iterate
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -175,6 +179,13 @@ class TestComparisonTable:
         rows = comparison_table(uniform(16), peak_budget=10)
         assert all(row.discrete_peak == 3 for row in rows)
 
+    def test_rows_are_named_tuples_in_csv_column_order(self):
+        row = comparison_table(uniform(20))[0]
+        assert tuple(row) == (row.k, row.p_k, row.classical_steps, row.grover_scale,
+                              row.discrete_peak, row.recip_classical, row.recip_grover,
+                              row.ln_classical, row.ln_grover)
+        assert type(row.k) is int and type(row.discrete_peak) is int
+
     def test_degenerate_amplitude_rejected(self):
         amps = np.zeros(3, dtype=np.complex128)
         amps[0] = 1.0
@@ -188,3 +199,74 @@ class TestComparisonTable:
             local_speedup(dist, 2)
         with pytest.raises(DomainError):
             global_speedup(dist)
+
+
+def crest(p_abs: float) -> float:
+    """First crest x* of sin^2((2x + 1) asin|P|), aliased above 1/sqrt(2)."""
+    if p_abs <= INV_SQRT2:
+        return math.pi / (4 * math.asin(p_abs)) - 0.5
+    return math.pi / (2 * math.acos(p_abs)) - 0.5
+
+
+class TestDiscretePeaksAgainstRecurrence:
+    """Every filled discrete_peak is the first peak of the stepped recurrence."""
+
+    @staticmethod
+    def assert_peaks_match(dist):
+        checked = 0
+        for row in comparison_table(dist):
+            if row.discrete_peak is not None:
+                traj = iterate(dist, row.k, row.discrete_peak + 2)
+                assert first_peak(traj)[0] == row.discrete_peak, f"k={row.k}"
+                checked += 1
+        return checked
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-4, max_value=1.0), min_size=2, max_size=50))
+    def test_random_weight_tables(self, raw):
+        total = math.fsum(raw)
+        weights = [w / total for w in raw]
+        # at p = 1/2 the success probability is flat (see test_flat_edge_is_a_tie)
+        assume(all(abs(w - 0.5) > 1e-12 for w in weights))
+        dist = load_spec({"kind": "weights", "weights": weights})
+        assert self.assert_peaks_match(dist) == len(raw)
+
+    @pytest.mark.parametrize("weights", [[0.9999, 0.0001], [0.97, 0.02, 0.01], [0.75, 0.25]])
+    def test_aliased_tables(self, weights):
+        # |P| above 1/sqrt(2) aliases the crest; p = 3/4 puts it at x* = 5/2
+        assert self.assert_peaks_match(load_spec({"kind": "weights", "weights": weights})) > 0
+
+    def test_flat_edge_is_a_tie(self):
+        # p = 1/2 gives sin^2((2r + 1) pi/4) = 1/2 for every r: the peak is a
+        # tie that rounding decides, and the table takes the first, r = 1
+        dist = load_spec({"kind": "weights", "weights": [0.5, 0.5]})
+        assert [row.discrete_peak for row in comparison_table(dist)] == [1, 1]
+        prob = iterate(dist, 1, 3).prob
+        assert np.all(np.abs(prob - 0.5) < 1e-14)
+
+    def test_every_uniform_size_to_2000(self):
+        for n in range(2, 2001):
+            dist = uniform(n)
+            peak = comparison_table(dist)[0].discrete_peak
+            assert first_peak(iterate(dist, 1, peak + 2))[0] == peak, f"N={n}"
+
+
+class TestPeakBudgetBoundary:
+    """A row is filled exactly when x* + 2 <= peak_budget, and then r* < peak_budget."""
+
+    @pytest.mark.parametrize("weights", [[0.05] * 20, [0.3, 0.7], [0.97, 0.03]],
+                             ids=["uniform20", "below-edge", "aliased"])
+    def test_filled_exactly_up_to_the_budget(self, weights):
+        dist = load_spec({"kind": "weights", "weights": weights})
+        for row in comparison_table(dist):
+            x_star = crest(math.sqrt(row.p_k))
+            r_star = first_peak(iterate(dist, row.k, int(x_star) + 3))[0]
+            edge = math.ceil(x_star + 2)
+            for budget in range(r_star - 1, edge + 3):
+                peak = comparison_table(dist, peak_budget=budget)[row.k - 1].discrete_peak
+                if x_star + 2 <= budget:
+                    assert peak == r_star < budget, f"k={row.k} budget={budget}"
+                else:
+                    assert peak is None, f"k={row.k} budget={budget}"
+            assert comparison_table(dist, peak_budget=edge - 1)[row.k - 1].discrete_peak is None
+            assert comparison_table(dist, peak_budget=edge)[row.k - 1].discrete_peak == r_star

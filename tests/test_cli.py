@@ -252,8 +252,11 @@ class TestExitCodes:
             '{"kind":"coherent","alpha_re":0.8,"alpha_im":Infinity,"q1":1,"n":20}',
             '{"kind":"uniform","n":20.9}',
             '{"kind":"coherent","alpha_re":0.8,"q1":1.0,"n":20}',
+            '{"kind":"weights","weights":[0.5,"0.5"]}',
+            '{"kind":"weights","weights":[true,false]}',
         ],
-        ids=["weights-nan", "alpha-nan", "alpha-inf", "n-float", "q1-float"],
+        ids=["weights-nan", "alpha-nan", "alpha-inf", "n-float", "q1-float", "weights-string",
+             "weights-bool"],
     )
     def test_non_finite_or_fractional_spec_exits_1(self, tmp_path, capsys, command, spec):
         assert run(command, "--inline", spec, "--target", "1", "--out", str(tmp_path)) == 1

@@ -25,7 +25,7 @@ from wgrover.continuum import (
     predicted_peak_step,
 )
 from wgrover.errors import DomainError
-from wgrover.grover_core import estimated_peak, first_peak, iterate
+from wgrover.grover_core import first_peak, iterate
 
 P20 = 1 / math.sqrt(20)
 
@@ -223,7 +223,7 @@ class TestPredictedPeak:
             p = float(p)
             dist = two_label_dist(p)
             pred = predicted_peak_step(fit_one_step_solution(p))
-            limit = int(estimated_peak(p)) + 5
+            limit = int(math.pi / (4.0 * math.asin(abs(p))) - 0.5) + 5
             r_star, _ = first_peak(iterate(dist, 1, limit))
             assert abs(pred - r_star) <= 1.0, f"p={p}: pred={pred}, discrete={r_star}"
 

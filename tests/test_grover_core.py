@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from wgrover.amplitudes import (
     AmplitudeDistribution,
@@ -24,7 +25,6 @@ from wgrover.errors import ConsistencyError, DomainError, NoPeakError
 from wgrover.grover_core import (
     TwoDState,
     dense_apply_G,
-    estimated_peak,
     first_peak,
     iterate,
     project_onto_subspace,
@@ -44,10 +44,15 @@ def oracle_peak(p_abs: float) -> int:
     return round(math.pi / (4 * math.asin(p_abs)) - 0.5)
 
 
+def crest_estimate(p_abs: float) -> float:
+    """pi/(4 asin|P|) - 1/2: the first crest up to |P| = 1/sqrt(2), below 1 above it."""
+    return math.pi / (4 * math.asin(p_abs)) - 0.5
+
+
 def peak_bracket(p_abs: float, margin: int) -> int:
     """A limit past the first peak; above 1/sqrt(2) the crest aliases to
-    pi/(2 acos|P|) - 1/2, far beyond estimated_peak (r ~ 111 at 0.9999)."""
-    return int(max(estimated_peak(p_abs), math.pi / (2 * math.acos(p_abs)))) + margin
+    pi/(2 acos|P|) - 1/2, far beyond crest_estimate (r ~ 111 at 0.9999)."""
+    return int(max(crest_estimate(p_abs), math.pi / (2 * math.acos(p_abs)))) + margin
 
 
 def random_distribution(rng, n: int) -> AmplitudeDistribution:
@@ -285,7 +290,7 @@ class TestFirstPeak:
         checked = 0
         for k in dist.labels:
             p_abs = abs(dist.amplitude(k))
-            if estimated_peak(p_abs) + 2 > DEFAULT_PEAK_BUDGET:
+            if crest_estimate(p_abs) + 2 > DEFAULT_PEAK_BUDGET:
                 continue
             r_traj, _ = first_peak(iterate(dist, k, peak_bracket(p_abs, 3)))
             assert scan_first_peak(dist, k, DEFAULT_PEAK_BUDGET)[0] == r_traj, f"alpha={alpha} k={k}"
@@ -300,6 +305,18 @@ class TestFirstPeak:
         assert scan_first_peak(dist, 1, r_star + 1)[0] == r_star
         with pytest.raises(NoPeakError, match="r_max"):
             scan_first_peak(dist, 1, r_star)
+
+    @pytest.mark.parametrize("p_abs", [2.4e-10, 4.4e-11, 1.4e-12, 1e-12])
+    def test_deep_tail_peak_is_the_integer_nearest_the_crest(self, p_abs):
+        # sin^2 is flat to rounding around these crests (r ~ 1e9..1e12), so
+        # the 50-digit crest is the oracle; float64 x* is good to ~1e-4 here
+        amps = np.array([p_abs, math.sqrt(1 - p_abs * p_abs)], dtype=np.complex128)
+        dist = AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+        r_scan, prob = scan_first_peak(dist, 1, 10**15)
+        with mp.workdps(50):
+            x_star = mp.pi / (4 * mp.asin(mp.mpf(p_abs))) - mp.mpf("0.5")
+            assert abs(r_scan - x_star) <= mp.mpf("0.5") + mp.mpf("1e-3")
+        assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_r_limit_below_two_cannot_bracket(self):
         with pytest.raises(NoPeakError):
