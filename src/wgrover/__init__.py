@@ -7,19 +7,13 @@ databases whose elements carry unequal proportions.
 
 from .amplitudes import (
     AmplitudeDistribution,
-    WeightedDatabase,
-    coherent_normalization,
-    from_weights,
     load_spec,
-    proportion,
     truncated_coherent,
     uniform,
-    weights_from_list,
 )
 from .analysis import (
     ComparisonRow,
     SpeedupVerdict,
-    classical_bounds,
     comparison_table,
     global_speedup,
     local_failures,
@@ -53,7 +47,6 @@ from .grover_core import (
 
 __all__ = [
     "AmplitudeDistribution",
-    "WeightedDatabase",
     "ComparisonRow",
     "SpeedupVerdict",
     "ContinuumSolution",
@@ -67,10 +60,6 @@ __all__ = [
     "ConsistencyError",
     "uniform",
     "truncated_coherent",
-    "coherent_normalization",
-    "from_weights",
-    "weights_from_list",
-    "proportion",
     "load_spec",
     "step",
     "iterate",
@@ -87,7 +76,6 @@ __all__ = [
     "eval_fb",
     "period",
     "predicted_peak_step",
-    "classical_bounds",
     "local_speedup",
     "local_failures",
     "global_speedup",

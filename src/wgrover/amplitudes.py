@@ -3,8 +3,8 @@
 A weighted database {(y_1, p_1), ..., (y_N, p_N)} is encoded as a complex
 amplitude vector P(n) over integer basis labels with |P(n)|^2 = p_n.  This
 module builds the two families used throughout the package (uniform and
-truncated coherent-state distributions), converts classical weight tables
-to amplitudes, and answers proportion queries.
+truncated coherent-state distributions), and load_spec builds either of
+them, or a weight table as real amplitudes sqrt(p_n), from a JSON spec.
 
 Coherent-state amplitudes are evaluated in the log domain (log-gamma
 factorials plus a shifted log-sum-exp normalization) so that large photon
@@ -108,29 +108,6 @@ def _label_range(labels) -> range:
     return span
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedDatabase:
-    """Classical view of the database: (label, proportion) pairs.
-
-    Proportions must be positive, finite and sum to 1 within 1e-12.
-    """
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple((int(k), float(p)) for k, p in self.entries)
-        object.__setattr__(self, "entries", entries)
-        _check_proportions([p for _, p in entries])
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.entries)
-
-    @property
-    def proportions(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.entries)
-
-
 def uniform(n: int) -> AmplitudeDistribution:
     """Uniform distribution P(k) = 1/sqrt(N) over labels 1..N.
 
@@ -145,19 +122,6 @@ def uniform(n: int) -> AmplitudeDistribution:
 def _log_sum_exp(values: np.ndarray) -> float:
     m = float(np.max(values))
     return m + math.log(float(np.sum(np.exp(values - m))))
-
-
-def coherent_normalization(alpha: complex, q1: int, n: int) -> float:
-    """Normalization factor N_q of the truncated coherent state.
-
-    N_q = [sum_{q=q1}^{q1+N} e^{-|a|^2} |a|^{2q} / q!]^{-1/2}, computed in
-    the log domain so large q1 or |alpha| cannot overflow.
-    """
-    _check_coherent_args(alpha, q1, n)
-    lam = abs(alpha) ** 2
-    ks = np.arange(q1, q1 + n + 1)
-    log_terms = -lam + ks * math.log(lam) - np.array([math.lgamma(k + 1) for k in ks])
-    return math.exp(-0.5 * _log_sum_exp(log_terms))
 
 
 def truncated_coherent(alpha: complex, q1: int, n: int) -> AmplitudeDistribution:
@@ -182,62 +146,33 @@ def truncated_coherent(alpha: complex, q1: int, n: int) -> AmplitudeDistribution
     return AmplitudeDistribution(labels=range(q1, q1 + n + 1), amplitudes=amps)
 
 
-def from_weights(db: WeightedDatabase) -> AmplitudeDistribution:
-    """Encode a classical weight table as real amplitudes sqrt(p_n), phase 0."""
-    amps = np.sqrt(np.array(db.proportions, dtype=np.float64)).astype(np.complex128)
-    return AmplitudeDistribution(labels=db.labels, amplitudes=amps)
+def _weights_distribution(weights: list) -> AmplitudeDistribution:
+    """A weight table as real amplitudes sqrt(w / fsum w), phase 0, over labels 1..N.
 
-
-def proportion(dist: AmplitudeDistribution, k: int) -> float:
-    """|P(k)|^2 for label k."""
-    return abs(dist.amplitude(k)) ** 2
-
-
-def weights_from_list(weights: list[float]) -> WeightedDatabase:
-    """Weight list with implicit labels 1..N, renormalized on load.
-
-    The sum must already be within 1e-6 of 1; anything further off is
-    rejected as a malformed database rather than silently rescaled.
+    Only numbers are accepted: JSON booleans and strings are rejected, not
+    converted.  The sum must already be within 1e-6 of 1; anything further
+    off is rejected as a malformed database rather than silently rescaled.
+    The renormalized proportions must be positive, finite and sum to 1
+    within 1e-12.
     """
-    props = _renormalized([float(w) for w in weights])
-    return WeightedDatabase(entries=tuple(enumerate(props.tolist(), start=1)))
-
-
-def _renormalized(weights: list) -> np.ndarray:
-    """weights / fsum(weights) as float64, once the sum is within 1e-6 of 1."""
+    # one check per distinct entry type, not per entry
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, weights))):
+        raise DomainError("'weights' must be a list of numbers")
     total = math.fsum(weights)
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise DomainError(
             f"weights sum to {total!r}; must be within {WEIGHT_SUM_TOL} of 1"
         )
-    return np.array(weights, dtype=np.float64) / total
-
-
-def _check_proportions(props: list[float]) -> None:
-    """Proportions must be positive, finite and sum to 1 within 1e-12."""
-    if any(p <= 0 for p in props):
+    props = np.array(weights, dtype=np.float64) / total
+    if (props <= 0).any():
         raise DomainError("all proportions must be positive")
-    total = math.fsum(props)
+    total = math.fsum(props.tolist())
     if not math.isfinite(total):
         raise DomainError(f"proportions must be finite: they sum to {total!r}")
     if abs(total - 1.0) > NORM_TOL:
         raise DomainError(
             f"proportions sum to {total!r}, must be 1 within {NORM_TOL}"
         )
-
-
-def _weights_distribution(weights: list) -> AmplitudeDistribution:
-    """Real amplitudes sqrt(w / sum w) over labels 1..N, straight from a spec's list.
-
-    Only numbers are accepted: JSON booleans and strings are rejected, not
-    converted.  The checks are those of weights_from_list and
-    WeightedDatabase, without building either.
-    """
-    # one check per distinct entry type, not per entry
-    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, weights))):
-        raise DomainError("'weights' must be a list of numbers")
-    props = _renormalized(weights)
-    _check_proportions(props.tolist())
     return AmplitudeDistribution(labels=range(1, len(weights) + 1),
                                  amplitudes=np.sqrt(props).astype(np.complex128))
 
@@ -260,7 +195,8 @@ def load_spec(spec: dict) -> AmplitudeDistribution:
         if kind == "uniform":
             return uniform(_size_field(spec))
         if kind == "coherent":
-            alpha = complex(float(spec["alpha_re"]), float(spec.get("alpha_im", 0.0)))
+            alpha = complex(_real(spec["alpha_re"], "alpha_re"),
+                            _real(spec.get("alpha_im", 0.0), "alpha_im"))
             return truncated_coherent(alpha, _int_field(spec, "q1"), _size_field(spec))
         if kind == "weights":
             weights = spec["weights"]
@@ -286,6 +222,13 @@ def _int_field(spec: dict, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"'{name}' must be an integer, got {value!r}")
     return value
+
+
+def _real(value, name: str) -> float:
+    """A spec's number as a float; JSON booleans and strings are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"'{name}' must be a number, got {value!r}")
+    return float(value)
 
 
 def _size_field(spec: dict) -> int:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grover_core
-from .amplitudes import AmplitudeDistribution, WeightedDatabase
+from .amplitudes import AmplitudeDistribution
 from .continuum import delta_tilde
 from .errors import DomainError
 
@@ -61,12 +61,6 @@ class SpeedupVerdict:
     classical_witness: int
     max_grover_scale: float
     min_classical_steps: float
-
-
-def classical_bounds(db: WeightedDatabase) -> tuple[float, float]:
-    """Range [min 1/p_j, max 1/p_j] of classical step counts over targets."""
-    recips = [1.0 / p for p in db.proportions]
-    return min(recips), max(recips)
 
 
 def local_speedup(dist: AmplitudeDistribution, k: int) -> bool:

@@ -90,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     dist = None
     if getattr(args, "spec", None) is not None:
-        text = args.spec.read_text(encoding="utf-8")
+        try:
+            text = args.spec.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{args.spec}: not UTF-8 text: {exc}") from None
         dist = _parse_spec(text, source=str(args.spec))
     elif getattr(args, "inline", None) is not None:
         dist = _parse_spec(args.inline, source="--inline")
@@ -113,6 +116,8 @@ def _parse_spec(text: str, source: str) -> AmplitudeDistribution:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{source}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DomainError(f"{source}: JSON nested too deeply") from None
     return load_spec(obj)
 
 
@@ -130,11 +135,8 @@ def _ensure_out(config: RunConfig, *subdirs: str) -> Path:
 
 def cmd_dist(config: RunConfig) -> int:
     out = _ensure_out(config)
-    dist = config.dist
-    csvio.write_distribution(out / "dist.csv", dist.labels, dist.proportions())
-    if config.want_svg:
-        svg.bar_plot(out / "dist.svg", list(dist.labels), list(dist.proportions()),
-                     "database distribution", "label k", "p_k")
+    title = "database distribution" if config.want_svg else None
+    _distribution_artifacts(out, "dist", config.dist, title)
     print(f"wrote {out / 'dist.csv'}")
     return EXIT_OK
 
@@ -201,6 +203,15 @@ def _trajectory_svg(path: Path, traj: grover_core.Trajectory, title: str) -> Non
                   title, "iteration r", "coefficient")
 
 
+def _distribution_artifacts(out: Path, stem: str, dist: AmplitudeDistribution,
+                            title: str | None) -> None:
+    """STEM.csv of the proportions, plus a STEM.svg bar plot when title is given."""
+    props = dist.proportions()
+    csvio.write_distribution(out / f"{stem}.csv", dist.labels, props)
+    if title is not None:
+        svg.bar_plot(out / f"{stem}.svg", list(dist.labels), list(props), title, "label k", "p_k")
+
+
 def _continuum_artifacts(out: Path, p_k: complex, title: str | None):
     """continuum.csv over three periods, plus continuum.svg when title is given.
 
@@ -235,11 +246,8 @@ def cmd_repro(config: RunConfig, figure: str) -> int:
                      "uniform N=20")
     elif figure == "fig3":
         for alpha in FIGURE_ALPHAS:
-            dist = _coherent_figure_dist(alpha)
-            csvio.write_distribution(out / f"alpha_{alpha}.csv", dist.labels, dist.proportions())
-            svg.bar_plot(out / f"alpha_{alpha}.svg", list(dist.labels),
-                         list(dist.proportions()),
-                         f"coherent distribution, alpha={alpha}", "label k", "p_k")
+            _distribution_artifacts(out, f"alpha_{alpha}", _coherent_figure_dist(alpha),
+                                    f"coherent distribution, alpha={alpha}")
     elif figure == "fig4":
         _repro_check(out, _coherent_figure_dist(FIG4_ALPHA), FIG4_TARGET,
                      f"coherent alpha={FIG4_ALPHA}, k={FIG4_TARGET}")

@@ -26,13 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .errors import DomainError
-
-Branch = Literal["overdamped", "critical", "oscillatory"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,6 @@ class DiscriminantClass:
     delta: float
     q1: complex
     q2: complex
-    branch: Branch
 
 
 @dataclass(frozen=True)
@@ -88,23 +84,17 @@ def period(p_k: complex) -> float:
 
 
 def classify(p_k: complex) -> DiscriminantClass:
-    """Discriminant branch of the characteristic equation.
+    """Discriminant and the complex-conjugate roots -2|P|^2 +- 2i dt.
 
-    Valid database amplitudes (|P| < 1) always land in the oscillatory
-    branch; critical requires |P| in {0, 1} and overdamped |P| > 1, both
-    kept only to cover the full case analysis.
+    Every non-degenerate target (0 < |P| < 1) has Delta < 0, the oscillatory
+    branch; |P| = 0 or |P| >= 1 raises DomainError.
     """
-    mag2 = abs(p_k) ** 2
+    mag2 = _check_nondegenerate(p_k) ** 2
     delta = 16.0 * mag2**2 - 16.0 * mag2
-    if delta < 0:
-        branch: Branch = "oscillatory"
-        root = complex(0.0, math.sqrt(-delta))
-    else:
-        branch = "critical" if delta == 0 else "overdamped"
-        root = complex(math.sqrt(delta), 0.0)
+    root = complex(0.0, math.sqrt(-delta))
     q1 = (-4.0 * mag2 + root) / 2.0
     q2 = (-4.0 * mag2 - root) / 2.0
-    return DiscriminantClass(delta=delta, q1=q1, q2=q2, branch=branch)
+    return DiscriminantClass(delta=delta, q1=q1, q2=q2)
 
 
 def fit_solution(p_k: complex, fa0: float, fb0: complex) -> ContinuumSolution:

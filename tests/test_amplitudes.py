@@ -11,14 +11,9 @@ from wgrover import amplitudes
 from wgrover.amplitudes import (
     MAX_ENTRIES,
     AmplitudeDistribution,
-    WeightedDatabase,
-    coherent_normalization,
-    from_weights,
     load_spec,
-    proportion,
     truncated_coherent,
     uniform,
-    weights_from_list,
 )
 from wgrover.errors import DomainError, LabelNotFoundError
 
@@ -33,6 +28,10 @@ def naive_coherent_magnitudes(alpha_abs: float, q1: int, n: int) -> list[float]:
         norm * math.exp(-lam / 2) * alpha_abs**k / math.sqrt(math.factorial(k))
         for k in range(q1, q1 + n + 1)
     ]
+
+
+def weights_dist(weights) -> AmplitudeDistribution:
+    return load_spec({"kind": "weights", "weights": weights})
 
 
 def _forbid_building(monkeypatch):
@@ -67,8 +66,10 @@ class TestTruncatedCoherent:
         naive = sum(
             math.exp(-lam) * lam**q / math.factorial(q) for q in range(1, 22)
         ) ** -0.5
-        assert coherent_normalization(0.8, 1, 20) == pytest.approx(naive, rel=1e-12)
-        assert coherent_normalization(0.8, 1, 20) == pytest.approx(1.4545, abs=1e-4)
+        # P(1) = N_q e^{-|a|^2/2} a / sqrt(1!), so N_q = |P(1)| e^{|a|^2/2} / |a|
+        n_q = abs(truncated_coherent(0.8, 1, 20).amplitude(1)) * math.exp(lam / 2) / 0.8
+        assert n_q == pytest.approx(naive, rel=1e-12)
+        assert n_q == pytest.approx(1.4545, abs=1e-4)
 
     def test_reference_amplitudes(self):
         dist = truncated_coherent(0.8, 1, 20)
@@ -76,7 +77,7 @@ class TestTruncatedCoherent:
         assert abs(dist.amplitude(3)) == pytest.approx(mags[2], rel=1e-12)
         assert abs(dist.amplitude(3)) == pytest.approx(0.2208, abs=1e-4)
         assert abs(dist.amplitude(1)) == pytest.approx(0.845, abs=1e-3)
-        assert proportion(dist, 1) == pytest.approx(0.714, abs=1e-3)
+        assert dist.proportions()[0] == pytest.approx(0.714, abs=1e-3)
 
     def test_window_is_n_plus_one_labels(self):
         dist = truncated_coherent(0.8, 1, 20)
@@ -149,26 +150,27 @@ class TestTruncatedCoherent:
 
 
 class TestFromWeights:
+    """A weights spec, built through load_spec."""
+
     def test_symmetric_pair(self):
-        db = WeightedDatabase(entries=((1, 0.5), (2, 0.5)))
-        dist = from_weights(db)
+        dist = weights_dist([0.5, 0.5])
         np.testing.assert_allclose(
             dist.amplitudes, np.full(2, 1 / math.sqrt(2)), rtol=1e-15
         )
 
     def test_asymmetric_pair(self):
-        dist = from_weights(WeightedDatabase(entries=((1, 0.25), (2, 0.75))))
+        dist = weights_dist([0.25, 0.75])
         assert dist.amplitude(1) == pytest.approx(0.5, abs=0)
         assert dist.amplitude(2) == pytest.approx(0.8660254037844386, abs=1e-15)
 
     def test_phases_are_zero(self):
-        dist = from_weights(weights_from_list([0.1, 0.2, 0.3, 0.4]))
+        dist = weights_dist([0.1, 0.2, 0.3, 0.4])
         assert np.all(dist.amplitudes.imag == 0)
         assert np.all(dist.amplitudes.real > 0)
 
     def test_single_entry_rejected(self):
-        with pytest.raises(DomainError):
-            from_weights(WeightedDatabase(entries=((1, 1.0),)))
+        with pytest.raises(DomainError, match="at least 2 entries"):
+            weights_dist([1.0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -177,19 +179,20 @@ class TestFromWeights:
     def test_proportion_round_trip(self, raw):
         total = sum(raw)
         weights = [w / total for w in raw]
-        dist = from_weights(weights_from_list(weights))
+        dist = weights_dist(weights)
         for k, w in zip(dist.labels, weights):
-            assert proportion(dist, k) == pytest.approx(w, abs=1e-12)
+            assert abs(dist.amplitude(k)) ** 2 == pytest.approx(w, abs=1e-12)
 
 
 class TestProportion:
     def test_uniform_everywhere(self):
-        dist = uniform(20)
-        assert all(proportion(dist, k) == pytest.approx(0.05, abs=1e-15) for k in dist.labels)
+        props = uniform(20).proportions()
+        assert props.shape == (20,)
+        assert all(p == pytest.approx(0.05, abs=1e-15) for p in props)
 
     def test_unknown_label(self):
         with pytest.raises(LabelNotFoundError):
-            proportion(uniform(4), 5)
+            uniform(4).amplitude(5)
         with pytest.raises(LabelNotFoundError):
             uniform(4).amplitude(0)
 
@@ -219,7 +222,7 @@ class TestInvariants:
             truncated_coherent(0.8, 1, 20),
             truncated_coherent(3.2, 1, 20),
             truncated_coherent(1.5, 12, 7),
-            from_weights(weights_from_list([0.3, 0.2, 0.5])),
+            weights_dist([0.3, 0.2, 0.5]),
         ],
         ids=["u2", "u97", "coh08", "coh32", "coh-window", "weights"],
     )
@@ -264,10 +267,10 @@ class TestInvariants:
             dist.amplitudes[0] = 1.0
 
     def test_weighted_database_validation(self):
-        with pytest.raises(DomainError):
-            WeightedDatabase(entries=((1, 0.5), (2, -0.5), (3, 1.0)))
-        with pytest.raises(DomainError):
-            WeightedDatabase(entries=((1, 0.5), (2, 0.6)))
+        with pytest.raises(DomainError, match="all proportions must be positive"):
+            weights_dist([0.5, -0.5, 1.0])
+        with pytest.raises(DomainError, match="must be within 1e-06 of 1"):
+            weights_dist([0.5, 0.6])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
     def test_non_finite_amplitudes_rejected(self, bad):
@@ -277,15 +280,16 @@ class TestInvariants:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_proportions_rejected(self, bad):
-        with pytest.raises(DomainError, match="finite"):
-            WeightedDatabase(entries=((1, bad), (2, 0.5), (3, 0.5)))
+        # a non-finite weight makes the sum non-finite, which the 1e-6 window rejects first
+        with pytest.raises(DomainError, match=f"weights sum to {bad!r}"):
+            weights_dist([bad, 0.5, 0.5])
 
 
 class TestLoadSpec:
     def test_uniform_kind(self):
         dist = load_spec({"kind": "uniform", "n": 20})
         assert dist.size == 20
-        assert proportion(dist, 3) == pytest.approx(0.05)
+        assert dist.proportions()[2] == pytest.approx(0.05)
 
     def test_coherent_kind(self):
         dist = load_spec(
@@ -306,10 +310,11 @@ class TestLoadSpec:
 
     @pytest.mark.parametrize("weights", [[0.25, 0.75 + 5e-7], [0.1, 0.2, 0.3, 0.4], [1, 1e-9]])
     def test_weights_kind_matches_weighted_database_path(self, weights):
+        # the weighted-database encoding: amplitude sqrt(p_n), phase 0
         dist = load_spec({"kind": "weights", "weights": weights})
-        ref = from_weights(weights_from_list(weights))
+        ref = np.sqrt(np.array(weights, dtype=np.float64) / math.fsum(weights))
         assert dist.labels == range(1, len(weights) + 1)
-        assert np.array_equal(dist.amplitudes, ref.amplitudes)
+        assert np.array_equal(dist.amplitudes, ref)
 
     @pytest.mark.parametrize("weights", [[0.5, "0.5"], [True, 0.0], [0.5, False, 0.5], [[0.5], [0.5]],
                                          [0.5, None]])

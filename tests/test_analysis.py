@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from wgrover.amplitudes import (
     AmplitudeDistribution,
-    WeightedDatabase,
     load_spec,
     truncated_coherent,
     uniform,
-    weights_from_list,
 )
 from wgrover.analysis import (
-    classical_bounds,
     comparison_table,
     global_speedup,
     local_failures,
@@ -34,24 +31,21 @@ def two_label_dist(p: float) -> AmplitudeDistribution:
     return AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
 
 
-def coherent_database(alpha: float) -> WeightedDatabase:
-    dist = truncated_coherent(alpha, 1, 20)
-    return WeightedDatabase(entries=tuple(zip(dist.labels, dist.proportions())))
-
-
 class TestClassicalBounds:
+    """The classical floor min_j 1/p_j that the global condition compares against."""
+
     def test_uniform_is_flat(self):
-        db = weights_from_list([0.05] * 20)
-        assert classical_bounds(db) == (pytest.approx(20.0), pytest.approx(20.0))
+        # every label of uniform(20) needs 20 classical steps, so the floor is 20
+        assert global_speedup(uniform(20)).min_classical_steps == pytest.approx(20.0)
 
     def test_two_weights(self):
-        lo, hi = classical_bounds(WeightedDatabase(entries=((1, 0.25), (2, 0.75))))
-        assert lo == pytest.approx(4 / 3, abs=1e-12)
-        assert hi == pytest.approx(4.0, abs=1e-12)
+        verdict = global_speedup(load_spec({"kind": "weights", "weights": [0.25, 0.75]}))
+        assert verdict.min_classical_steps == pytest.approx(4 / 3, abs=1e-12)
+        assert verdict.classical_witness == 2
 
     def test_coherent_dominant_element_sets_floor(self):
-        lo, _ = classical_bounds(coherent_database(0.8))
-        assert lo == pytest.approx(1.4007513739139861, abs=1e-12)
+        lo = global_speedup(truncated_coherent(0.8, 1, 20)).min_classical_steps
+        assert lo == pytest.approx(1.400751373913986, abs=1e-12)
         assert lo == pytest.approx(1.4, abs=1e-2)
 
 

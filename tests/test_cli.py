@@ -48,6 +48,21 @@ class TestDistCommand:
         assert run("dist", "--inline", "{oops", "--out", str(tmp_path)) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_undecodable_spec_file_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "db.json"
+        spec.write_bytes(b"\xff\xfe" + UNIFORM4.encode("utf-16-le"))
+        assert run("dist", "--spec", str(spec), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not UTF-8" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys):
+        # json.loads recurses once per bracket; 100 000 exceed any recursion limit
+        assert run("dist", "--inline", "[" * 100_000, "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nested too deeply" in err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_spec_exits_1(self, tmp_path):
         assert run("dist", "--inline", '{"kind":"uniform","n":1}', "--out", str(tmp_path)) == 1
 
@@ -254,9 +269,12 @@ class TestExitCodes:
             '{"kind":"coherent","alpha_re":0.8,"q1":1.0,"n":20}',
             '{"kind":"weights","weights":[0.5,"0.5"]}',
             '{"kind":"weights","weights":[true,false]}',
+            '{"kind":"coherent","alpha_re":true,"alpha_im":0.0,"q1":1,"n":20}',
+            '{"kind":"coherent","alpha_re":"0.8","q1":1,"n":20}',
+            '{"kind":"coherent","alpha_re":0.8,"alpha_im":"1","q1":1,"n":20}',
         ],
         ids=["weights-nan", "alpha-nan", "alpha-inf", "n-float", "q1-float", "weights-string",
-             "weights-bool"],
+             "weights-bool", "alpha_re-bool", "alpha_re-string", "alpha_im-string"],
     )
     def test_non_finite_or_fractional_spec_exits_1(self, tmp_path, capsys, command, spec):
         assert run(command, "--inline", spec, "--target", "1", "--out", str(tmp_path)) == 1

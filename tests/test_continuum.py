@@ -59,34 +59,26 @@ class TestClassify:
     def test_half_amplitude(self):
         out = classify(0.5)
         assert out.delta == -3.0
-        assert out.branch == "oscillatory"
         assert out.q1 == pytest.approx(-0.5 + 0.8660254037844386j, abs=1e-15)
         assert out.q2 == pytest.approx(-0.5 - 0.8660254037844386j, abs=1e-15)
 
-    def test_unit_amplitude_is_critical(self):
-        out = classify(1.0)
-        assert out.delta == 0.0
-        assert out.branch == "critical"
-        assert out.q1 == out.q2 == pytest.approx(-2.0)
-
-    def test_zero_amplitude_is_critical(self):
-        assert classify(0.0).branch == "critical"
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5], ids=["zero", "unit", "beyond-unit"])
+    def test_degenerate_rejected(self, p):
+        with pytest.raises(DomainError, match="degenerate"):
+            classify(p)
 
     def test_n20_amplitude(self):
         out = classify(P20)
         assert out.delta == pytest.approx(-0.76, abs=1e-15)
-        assert out.branch == "oscillatory"
         # conjugate pair -2|P|^2 +- 2i dt
         assert out.q1 == pytest.approx(complex(-0.1, 2 * 0.21794494717703367), abs=1e-14)
-
-    def test_overdamped_branch_reachable_only_beyond_unit(self):
-        assert classify(1.5).branch == "overdamped"
-        assert classify(1.5).delta > 0
 
     def test_every_database_amplitude_is_oscillatory(self):
         for dist in (uniform(2), uniform(50), truncated_coherent(0.8, 1, 20)):
             for k in dist.labels:
-                assert classify(dist.amplitude(k)).branch == "oscillatory"
+                out = classify(dist.amplitude(k))
+                assert out.delta < 0
+                assert out.q1.imag > 0 and out.q2 == out.q1.conjugate()
 
 
 class TestFitSolution:

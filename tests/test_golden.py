@@ -3,9 +3,10 @@
 `test_criterion_8` only compares two fresh runs with each other, so a change
 that alters every run the same way would slip past it. Here the sha256 of
 each `repro fig2..fig6` artifact, of the files and standard output of
-`compare --svg` on two fixed weight tables, and of `simulate --svg` (5001
-rows with imaginary parts) and `continuum --svg` on a complex-alpha coherent
-window, is checked against the manifest `golden_sha256.json`.
+`compare --svg` on two fixed weight tables, of the files of `dist --svg` on
+the heavy table, and of `simulate --svg` (5001 rows with imaginary parts)
+and `continuum --svg` on a complex-alpha coherent window, is checked against
+the manifest `golden_sha256.json`.
 
 An intended output change must be named in CHANGES.md; regenerate the
 manifest with
@@ -65,6 +66,9 @@ def produce(out: Path) -> dict[str, str]:
     for name, weights in (("compare", fixed_table()), ("compare_heavy", HEAVY_TABLE)):
         spec = json.dumps({"kind": "weights", "weights": weights})
         run_pinned(out, name, "compare", "--inline", spec)
+    # dist prints its output path, so only its files are pinned
+    heavy = json.dumps({"kind": "weights", "weights": HEAVY_TABLE})
+    assert main(["dist", "--inline", heavy, "--svg", "--out", str(out / "dist_heavy")]) == 0
     run_pinned(out, "simulate_complex", "simulate", "--inline", COMPLEX_SPEC,
                "--target", COMPLEX_TARGET, "--rmax", "5000")
     run_pinned(out, "continuum_complex", "continuum", "--inline", COMPLEX_SPEC,

@@ -15,10 +15,9 @@ from mpmath import mp
 
 from wgrover.amplitudes import (
     AmplitudeDistribution,
-    from_weights,
+    load_spec,
     truncated_coherent,
     uniform,
-    weights_from_list,
 )
 from wgrover.analysis import DEFAULT_PEAK_BUDGET
 from wgrover.errors import ConsistencyError, DomainError, NoPeakError
@@ -142,7 +141,7 @@ class TestIterate:
             (uniform(20), 1),
             (uniform(4), 2),
             (truncated_coherent(0.8, 1, 20), 3),
-            (from_weights(weights_from_list([0.1, 0.6, 0.3])), 1),
+            (load_spec({"kind": "weights", "weights": [0.1, 0.6, 0.3]}), 1),
         ],
         ids=["u20", "u4", "coherent", "weights"],
     )
