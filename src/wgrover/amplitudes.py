@@ -89,6 +89,27 @@ class AmplitudeDistribution:
         return np.abs(self.amplitudes) ** 2
 
 
+def target_proportions(mag, labels=None):
+    """|P(k)|^2 of one |P(k)| or an array of them; raises unless each lies in (0, 1).
+
+    This is the package's one degenerate-target rule: the dynamics need
+    0 < |P(k)|^2 < 1.  The test is on the square, so a |P(k)| below about
+    1.57e-162, whose square underflows to 0, is degenerate, and so is NaN.
+    np.float_power calls the same libm pow as abs(p) ** 2.  labels, indexed
+    like mag, names the first offending label in the message.
+    """
+    props = np.float_power(mag, 2)
+    bad = ~((props > 0.0) & (props < 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        k = "k" if labels is None else labels[i]
+        raise DomainError(
+            f"|P({k})|^2 = {float(np.ravel(props)[i])!r} is degenerate; "
+            "the target needs 0 < |P(k)|^2 < 1"
+        )
+    return props
+
+
 def _label_range(labels) -> range:
     """labels as a range with step 1; raises unless consecutive ascending integers."""
     if isinstance(labels, range) and labels.step == 1:

@@ -21,9 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grover_core
-from .amplitudes import AmplitudeDistribution
+from .amplitudes import AmplitudeDistribution, target_proportions
 from .continuum import delta_tilde
-from .errors import DomainError
 
 # Rows whose first crest x* lies beyond this budget (x* + 2 > budget) report
 # no discrete peak: the table's contract, not a cost limit (every peak is
@@ -66,27 +65,19 @@ class SpeedupVerdict:
 def local_speedup(dist: AmplitudeDistribution, k: int) -> bool:
     """Does Grover beat classical search for this one target?"""
     p_k = dist.amplitude(k)
-    prop = abs(p_k) ** 2
-    if prop == 0.0 or prop >= 1.0:
-        raise DomainError(f"|P({k})|^2 = {prop!r} is degenerate")
+    prop = float(target_proportions(abs(p_k), (k,)))
     return 1.0 / delta_tilde(p_k) < 1.0 / prop
 
 
 def _label_metrics(dist: AmplitudeDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|P(k)|, |P(k)|^2 and delta_tilde(k) for every label, in label order.
 
-    np.hypot and np.float_power call the same libm routines as abs() and **
-    on a Python complex, so each entry equals abs(P(k)), abs(P(k)) ** 2 and
-    delta_tilde(P(k)) bit for bit (np.abs and ** round differently).
+    np.hypot calls the same libm routine as abs() on a Python complex, so
+    each |P(k)| equals abs(P(k)) bit for bit (np.abs rounds differently).
     """
     amps = dist.amplitudes
     mag = np.hypot(amps.real, amps.imag)
-    props = np.float_power(mag, 2)
-    degenerate = (props == 0.0) | (props >= 1.0)
-    if degenerate.any():
-        i = int(np.argmax(degenerate))
-        raise DomainError(f"|P({dist.labels[i]})|^2 = {float(props[i])!r} is degenerate")
-    return mag, props, np.sqrt(props - np.float_power(mag, 4))
+    return mag, target_proportions(mag, dist.labels), delta_tilde(mag)
 
 
 def global_speedup(dist: AmplitudeDistribution) -> SpeedupVerdict:

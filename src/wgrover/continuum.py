@@ -7,8 +7,8 @@ pair into the linear system
 
 whose second-order form f_a'' + 4|P|^2 f_a' + 4|P|^2 f_a = 0 has the
 discriminant Delta = 16|P|^4 - 16|P|^2.  For every non-degenerate target
-(0 < |P| < 1) the discriminant is negative and the solution is a damped
-oscillation
+(0 < |P|^2 < 1, amplitudes.target_proportions) the discriminant is
+negative and the solution is a damped oscillation
 
     f_a(x) = e^{-2|P|^2 x} (C1 cos(2 dt x) + C2 sin(2 dt x)),
 
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amplitudes import target_proportions
 from .errors import DomainError
 
 
@@ -63,19 +64,15 @@ class ContinuumSolution:
             )
 
 
-def _check_nondegenerate(p_k: complex) -> float:
+def delta_tilde(p_k):
+    """Half angular frequency sqrt(|P|^2 - |P|^4); its reciprocal is the Grover step scale.
+
+    p_k is one amplitude (a float comes back) or an array of them (an
+    array comes back, entry for entry the same bits).
+    """
     mag = abs(p_k)
-    if mag == 0.0 or mag >= 1.0:
-        raise DomainError(
-            f"|P(k)| = {mag!r} is degenerate; the oscillatory branch needs 0 < |P(k)| < 1"
-        )
-    return mag
-
-
-def delta_tilde(p_k: complex) -> float:
-    """Half angular frequency sqrt(|P|^2 - |P|^4); its reciprocal is the Grover step scale."""
-    mag = _check_nondegenerate(p_k)
-    return math.sqrt(mag**2 - mag**4)
+    dt = np.sqrt(target_proportions(mag) - np.float_power(mag, 4))
+    return dt if dt.ndim else float(dt)
 
 
 def period(p_k: complex) -> float:
@@ -86,10 +83,10 @@ def period(p_k: complex) -> float:
 def classify(p_k: complex) -> DiscriminantClass:
     """Discriminant and the complex-conjugate roots -2|P|^2 +- 2i dt.
 
-    Every non-degenerate target (0 < |P| < 1) has Delta < 0, the oscillatory
-    branch; |P| = 0 or |P| >= 1 raises DomainError.
+    Every non-degenerate target (0 < |P|^2 < 1) has Delta < 0, the
+    oscillatory branch; any other target raises DomainError.
     """
-    mag2 = _check_nondegenerate(p_k) ** 2
+    mag2 = float(target_proportions(abs(p_k)))
     delta = 16.0 * mag2**2 - 16.0 * mag2
     root = complex(0.0, math.sqrt(-delta))
     q1 = (-4.0 * mag2 + root) / 2.0
@@ -104,20 +101,20 @@ def fit_solution(p_k: complex, fa0: float, fb0: complex) -> ContinuumSolution:
     f_a'(0) = -4 f_a(0)|P|^2 - 2 Re(P* f_b(0)), the real part implementing
     the phase-rotated convention for complex amplitudes.
     """
-    mag = _check_nondegenerate(p_k)
-    dt = math.sqrt(mag**2 - mag**4)
-    gamma = -2.0 * mag**2
-    beta = 2.0 * dt
+    beta = 2.0 * delta_tilde(p_k)
+    mag2 = abs(p_k) ** 2
+    gamma = -2.0 * mag2
     c1 = float(fa0)
-    fa_prime0 = -4.0 * c1 * mag**2 - 2.0 * (complex(p_k).conjugate() * complex(fb0)).real
-    c2 = (fa_prime0 + 2.0 * mag**2 * c1) / beta
+    fa_prime0 = -4.0 * c1 * mag2 - 2.0 * (complex(p_k).conjugate() * complex(fb0)).real
+    c2 = (fa_prime0 + 2.0 * mag2 * c1) / beta
     return ContinuumSolution(p_k=complex(p_k), gamma=gamma, beta=beta, c1=c1, c2=c2)
 
 
 def fit_one_step_solution(p_k: complex) -> ContinuumSolution:
     """Fit with the after-one-application values f_a(0) = a_1 = 1 - 4|P|^2, f_b(0) = b_1 = 2P."""
-    mag = _check_nondegenerate(p_k)
-    return fit_solution(p_k, 1.0 - 4.0 * mag**2, 2.0 * complex(p_k))
+    # float_power squares a huge |P| to inf, where ** raises OverflowError;
+    # fit_solution rejects either way
+    return fit_solution(p_k, 1.0 - 4.0 * np.float_power(abs(p_k), 2), 2.0 * complex(p_k))
 
 
 def _libm_exp(values: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeDistribution
+from .amplitudes import AmplitudeDistribution, target_proportions
 from .errors import ConsistencyError, DomainError, NoPeakError
 
 PROB_OVERSHOOT_TOL = 1e-9
@@ -99,26 +99,15 @@ class TrajectoryPoints(Sequence):
         return TrajectoryPoint(r, TwoDState(a=complex(t.a[r]), b=complex(t.b[r])), float(t.prob[r]))
 
 
-def _check_target_amplitude(p_k: complex) -> None:
-    mag = abs(p_k)
-    if mag == 0.0:
-        raise DomainError("|P(k)| = 0: the target is absent from the database")
-    if mag >= 1.0:
-        raise DomainError(
-            f"|P(k)| = {mag!r}: a unit-weight target is found in one step (trivial)"
-        )
-
-
 def step(state: TwoDState, p_k: complex) -> TwoDState:
     """One application of G to a|D> + b|k> in the 2-d subspace.
 
     With success_probability, the per-step oracle that iterate must match
     bit for bit.
     """
-    _check_target_amplitude(p_k)
+    factor = 1.0 - 4.0 * float(target_proportions(abs(p_k)))
     p = complex(p_k)
     a, b = complex(state.a), complex(state.b)
-    factor = 1.0 - 4.0 * abs(p) ** 2
     return TwoDState(a=factor * a - 2.0 * p.conjugate() * b, b=b + 2.0 * p * a)
 
 
@@ -154,9 +143,8 @@ def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     p_k = dist.amplitude(k)
-    _check_target_amplitude(p_k)
     p = complex(p_k)
-    factor = 1.0 - 4.0 * abs(p) ** 2
+    factor = 1.0 - 4.0 * float(target_proportions(abs(p), (k,)))
     two_pc, two_p = 2.0 * p.conjugate(), 2.0 * p
     a, b = 1.0 + 0.0j, 0.0 + 0.0j
     a_s, b_s, probs = [a], [b], [abs(a * p + b) ** 2]
@@ -241,9 +229,8 @@ def scan_first_peak(dist: AmplitudeDistribution, k: int, r_limit: int) -> tuple[
     """
     if r_limit < 2:
         raise NoPeakError(f"r_limit = {r_limit} cannot bracket a peak")
-    p_k = dist.amplitude(k)
-    _check_target_amplitude(p_k)
-    mag = abs(p_k)
+    mag = abs(dist.amplitude(k))
+    target_proportions(mag, (k,))
     r = int(first_peaks(first_crests(mag)))
     if r >= r_limit:
         raise NoPeakError(
@@ -293,12 +280,11 @@ def project_onto_subspace(
         )
     idx = dist.index_of(k)
     p_k = complex(dist.amplitudes[idx])
-    if abs(p_k) >= 1.0:
-        raise DomainError("|P(k)| = 1 makes {D, e_k} colinear; Gram system singular")
+    # |P(k)| = 1 would make {D, e_k} colinear and the Gram system singular
+    det = 1.0 - float(target_proportions(abs(p_k), (k,)))
     d = dist.amplitudes
     rhs_d = np.vdot(d, v)  # <D|v>
     rhs_k = complex(v[idx])  # <e_k|v>
-    det = 1.0 - abs(p_k) ** 2
     a = (rhs_d - p_k.conjugate() * rhs_k) / det
     b = (rhs_k - p_k * rhs_d) / det
     recon = a * d

@@ -49,13 +49,14 @@ def _tick_label(t: float) -> str:
     return format(t, "g")
 
 
-def _scale(lo: float, hi: float):
-    span = hi - lo if hi > lo else 1.0
-    return lo, span
+def _frame(title: str, xlabel: str, ylabel: str, xlo: float, xhi: float,
+           ylo: float, yhi: float):
+    """SVG header, frame, ticks and axis labels, with the data-to-pixel maps.
 
-
-def _frame(title: str, xlabel: str, ylabel: str, x_axis, y_axis) -> list[str]:
-    (xlo, xspan), (ylo, yspan) = x_axis, y_axis
+    Returns (parts, px, py); px and py take a float or an array.
+    """
+    xspan = xhi - xlo if xhi > xlo else 1.0
+    yspan = yhi - ylo if yhi > ylo else 1.0
 
     def px(x):
         return MARGIN_L + (x - xlo) / xspan * PLOT_W
@@ -98,7 +99,7 @@ def _frame(title: str, xlabel: str, ylabel: str, x_axis, y_axis) -> list[str]:
         f'<text x="16" y="{HEIGHT / 2:.0f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {HEIGHT / 2:.0f})">{ylabel}</text>'
     )
-    return parts
+    return parts, px, py
 
 
 def line_plot(
@@ -110,9 +111,7 @@ def line_plot(
 ) -> None:
     """Write a multi-series line plot; series = [(name, xs, ys), ...].
 
-    xs and ys are float arrays (or sequences); each point's pixel position
-    is computed elementwise, the same IEEE operations per point as the
-    scalar formula.
+    xs and ys are float arrays (or sequences), mapped to pixels elementwise.
     """
     series = [(name, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
               for name, xs, ys in series]
@@ -121,15 +120,10 @@ def line_plot(
     xlo, xhi = float(all_x.min()), float(all_x.max())
     ylo, yhi = float(all_y.min()), float(all_y.max())
     ypad = 0.05 * (yhi - ylo if yhi > ylo else 1.0)
-    x_axis = _scale(xlo, xhi)
-    y_axis = _scale(ylo - ypad, yhi + ypad)
-    parts = _frame(title, xlabel, ylabel, x_axis, y_axis)
-    (xlo, xspan), (ylo, yspan) = x_axis, y_axis
+    parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, ylo - ypad, yhi + ypad)
     for i, (name, xs, ys) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        px = MARGIN_L + (xs - xlo) / xspan * PLOT_W
-        py = MARGIN_T + PLOT_H - (ys - ylo) / yspan * PLOT_H
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px(xs).tolist(), py(ys).tolist())))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -152,17 +146,13 @@ def bar_plot(
     ylabel: str,
 ) -> None:
     """Write a bar plot over integer labels."""
-    ylo = 0.0
     yhi = max(heights) * 1.05 if heights else 1.0
     xlo, xhi = labels[0] - 0.5, labels[-1] + 0.5
-    x_axis = _scale(xlo, xhi)
-    y_axis = _scale(ylo, yhi)
-    parts = _frame(title, xlabel, ylabel, x_axis, y_axis)
-    (xlo, xspan), (ylo, yspan) = x_axis, y_axis
-    width = 0.8 / xspan * PLOT_W
+    parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, 0.0, yhi)
+    # labels ascend, so xhi > xlo and this span is the one px divides by
+    width = 0.8 / (xhi - xlo) * PLOT_W
     for k, h in zip(labels, heights):
-        x = MARGIN_L + (k - 0.4 - xlo) / xspan * PLOT_W
-        y = MARGIN_T + PLOT_H - (h - ylo) / yspan * PLOT_H
+        x, y = px(k - 0.4), py(h)
         parts.append(
             f'<rect x="{_num(x)}" y="{_num(y)}" width="{_num(width)}" '
             f'height="{_num(MARGIN_T + PLOT_H - y)}" fill="#1f77b4" stroke="black" '

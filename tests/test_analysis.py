@@ -1,6 +1,7 @@
 """Tests for the classical-vs-Grover step comparison and speedup predicates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,18 +182,17 @@ class TestComparisonTable:
         assert type(row.k) is int and type(row.discrete_peak) is int
 
     def test_degenerate_amplitude_rejected(self):
-        amps = np.zeros(3, dtype=np.complex128)
-        amps[0] = 1.0
-        amps[1] = 0.0
-        amps[2] = 0.0
-        # norm is 1 but two labels carry zero amplitude
-        dist = AmplitudeDistribution(labels=(1, 2, 3), amplitudes=amps)
-        with pytest.raises(DomainError):
-            comparison_table(dist)
-        with pytest.raises(DomainError):
-            local_speedup(dist, 2)
-        with pytest.raises(DomainError):
-            global_speedup(dist)
+        # norm is 1 but label 2's |P|^2 is 0 (1e-170 squares to 0); the
+        # table names the first degenerate label
+        for amps, first in (([1.0, 0.0, 0.0], "|P(1)|^2 = 1.0"),
+                            ([0.6, 1e-170, 0.8], "|P(2)|^2 = 0.0")):
+            dist = AmplitudeDistribution(labels=(1, 2, 3), amplitudes=amps)
+            with pytest.raises(DomainError, match=re.escape(f"{first} is degenerate")):
+                comparison_table(dist)
+            with pytest.raises(DomainError, match=re.escape("|P(2)|^2 = 0.0 is degenerate")):
+                local_speedup(dist, 2)
+            with pytest.raises(DomainError):
+                global_speedup(dist)
 
 
 def crest(p_abs: float) -> float:

@@ -14,6 +14,8 @@ UNIFORM20 = '{"kind":"uniform","n":20}'
 UNIFORM4 = '{"kind":"uniform","n":4}'
 COHERENT08 = '{"kind":"coherent","alpha_re":0.8,"alpha_im":0.0,"q1":1,"n":20}'
 COHERENT32 = '{"kind":"coherent","alpha_re":3.2,"alpha_im":0.0,"q1":1,"n":20}'
+# |P(k)| = 1.3e-170 at k = 170; |P(k)|^2 underflows to 0 from k = 164 on
+COHERENT08_N200 = '{"kind":"coherent","alpha_re":0.8,"q1":1,"n":200}'
 
 
 def run(*argv):
@@ -253,6 +255,30 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "validation error" in err
         assert not (tmp_path / "continuum.csv").exists()
         assert not (tmp_path / "continuum.svg").exists()
+
+    @pytest.mark.parametrize(
+        "command, artifact, named",
+        [("simulate", "trajectory.csv", "|P(170)|^2"),
+         ("continuum", "continuum.csv", "|P(k)|^2"),
+         ("compare", "comparison.csv", "|P(164)|^2")],
+    )
+    def test_underflowing_target_exits_1(self, tmp_path, capsys, command, artifact, named):
+        assert run(command, "--inline", COHERENT08_N200, "--target", "170",
+                   "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"validation error: {named} = 0.0 is degenerate" in err
+        assert not (tmp_path / artifact).exists()
+
+    @pytest.mark.parametrize("weight", ["1e-20", "5e-324"], ids=["1e-20", "subnormal"])
+    def test_smallest_targets_exit_3(self, tmp_path, capsys, weight):
+        # valid targets (|P|^2 = 1e-20 and the smallest positive double)
+        # whose first peak lies far past --rmax
+        spec = f'{{"kind":"weights","weights":[{weight},1.0]}}'
+        assert run("simulate", "--inline", spec, "--target", "1", "--rmax", "2000",
+                   "--out", str(tmp_path)) == 3
+        assert "r_max" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_unknown_target_exits_1(self, tmp_path):
         assert run("simulate", "--inline", UNIFORM4, "--target", "9",

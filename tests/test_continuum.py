@@ -49,10 +49,19 @@ class TestDeltaTilde:
         assert delta_tilde(p) == pytest.approx(p, rel=1e-3)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DomainError):
-            delta_tilde(0.0)
-        with pytest.raises(DomainError):
-            delta_tilde(1.0)
+        # |P| = 1e-170 squares to 0; the rule tests the square
+        for p in (0.0, 1.0, 1e-170):
+            with pytest.raises(DomainError, match="degenerate"):
+                delta_tilde(p)
+            with pytest.raises(DomainError, match="degenerate"):
+                period(p)
+
+    def test_array_matches_scalar(self):
+        amps = truncated_coherent(0.8 * np.exp(0.3j), 1, 20).amplitudes
+        mag = np.hypot(amps.real, amps.imag)
+        assert delta_tilde(mag).tolist() == [delta_tilde(p) for p in amps.tolist()]
+        with pytest.raises(DomainError, match="degenerate"):
+            delta_tilde(np.array([0.5, 0.0]))
 
 
 class TestClassify:
@@ -62,7 +71,8 @@ class TestClassify:
         assert out.q1 == pytest.approx(-0.5 + 0.8660254037844386j, abs=1e-15)
         assert out.q2 == pytest.approx(-0.5 - 0.8660254037844386j, abs=1e-15)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5], ids=["zero", "unit", "beyond-unit"])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, 1e-170, math.nan],
+                             ids=["zero", "unit", "beyond-unit", "underflow", "nan"])
     def test_degenerate_rejected(self, p):
         with pytest.raises(DomainError, match="degenerate"):
             classify(p)
@@ -107,10 +117,11 @@ class TestFitSolution:
         assert sol.c2 == pytest.approx(ref.c2, abs=1e-14)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DomainError):
-            fit_solution(0.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            fit_one_step_solution(1.0)
+        for p in (0.0, 1.0, 1e-170):
+            with pytest.raises(DomainError, match="degenerate"):
+                fit_solution(p, 1.0, 0.0)
+            with pytest.raises(DomainError, match="degenerate"):
+                fit_one_step_solution(p)
 
 
 class TestEvaluation:

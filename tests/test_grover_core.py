@@ -16,10 +16,12 @@ from mpmath import mp
 from wgrover.amplitudes import (
     AmplitudeDistribution,
     load_spec,
+    target_proportions,
     truncated_coherent,
     uniform,
 )
 from wgrover.analysis import DEFAULT_PEAK_BUDGET
+from wgrover.cli import MAX_RMAX
 from wgrover.errors import ConsistencyError, DomainError, NoPeakError
 from wgrover.grover_core import (
     TwoDState,
@@ -85,10 +87,9 @@ class TestStep:
         assert out.b == pytest.approx(state.b + 2 * p * state.a, abs=1e-15)
 
     def test_degenerate_amplitudes_rejected(self):
-        with pytest.raises(DomainError):
-            step(TwoDState(1, 0), 0.0)
-        with pytest.raises(DomainError):
-            step(TwoDState(1, 0), 1.0)
+        for p in (0.0, 1.0, 1e-170, math.nan):
+            with pytest.raises(DomainError, match="degenerate"):
+                step(TwoDState(1, 0), p)
 
 
 class TestSuccessProbability:
@@ -317,6 +318,25 @@ class TestFirstPeak:
             assert abs(r_scan - x_star) <= mp.mpf("0.5") + mp.mpf("1e-3")
         assert prob == pytest.approx(1.0, abs=1e-12)
 
+    def test_underflowing_target_rejected(self):
+        # |P(1)| = 1e-170 squares to 0: every probability would be 0
+        dist = AmplitudeDistribution(labels=(1, 2), amplitudes=[1e-170, 1.0])
+        with pytest.raises(DomainError, match=r"\|P\(1\)\|\^2 = 0.0 is degenerate"):
+            iterate(dist, 1, 10)
+        with pytest.raises(DomainError, match=r"\|P\(1\)\|\^2 = 0.0 is degenerate"):
+            scan_first_peak(dist, 1, MAX_RMAX)
+
+    @pytest.mark.parametrize("p_abs", [1e-10, 2.3e-162], ids=["square-1e-20", "square-subnormal"])
+    def test_smallest_targets_pass_but_peak_beyond_max_rmax(self, p_abs):
+        # |P|^2 = 1e-20 is below 2^-56, so 1 - 4|P|^2 rounds to 1; 2.3e-162
+        # squares to the smallest positive double.  Both are valid targets
+        # whose first peak (r ~ 7.9e9, 3.4e161) lies past any allowed --rmax.
+        dist = AmplitudeDistribution(labels=(1, 2), amplitudes=[p_abs, 1.0])
+        prop = target_proportions(abs(dist.amplitude(1)))
+        assert 0.0 < prop < 1.0 and 1.0 - 4.0 * prop == 1.0
+        with pytest.raises(NoPeakError, match="r_max"):
+            scan_first_peak(dist, 1, MAX_RMAX)
+
     def test_r_limit_below_two_cannot_bracket(self):
         with pytest.raises(NoPeakError):
             scan_first_peak(uniform(4), 1, 1)
@@ -421,6 +441,11 @@ class TestProjection:
         out = project_onto_subspace(state, dist, 1)
         assert out.a == pytest.approx(0.8, abs=1e-12)
         assert out.b == pytest.approx(0.4472135954999579, abs=1e-12)
+
+    def test_absent_target_rejected(self):
+        dist = AmplitudeDistribution(labels=(1, 2, 3), amplitudes=[0.0, 0.6, 0.8])
+        with pytest.raises(DomainError, match="degenerate"):
+            project_onto_subspace(np.asarray(dist.amplitudes), dist, 1)
 
     def test_state_outside_subspace_raises(self):
         dist = uniform(4)

@@ -57,6 +57,9 @@ DELETED = [
     "Branch",
     "_renormalized",
     "_check_proportions",
+    "_check_target_amplitude",
+    "_check_nondegenerate",
+    "_scale",
 ]
 
 
