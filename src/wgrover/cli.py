@@ -155,18 +155,20 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_continuum(config: RunConfig) -> int:
-    out = _ensure_out(config)
     k = _require_target(config)
+    # fit and size the grid first: a run that exits 1 writes nothing
+    sol, t_period = _continuum_fit(config.dist.amplitude(k))
+    out = _ensure_out(config)
     title = f"continuum approximation, target k={k}" if config.want_svg else None
-    sol, t_period = _continuum_artifacts(out, config.dist.amplitude(k), title)
+    _continuum_artifacts(out, sol, t_period, title)
     x_star = continuum.predicted_peak_step(sol)
     print(f"x*={x_star:.6g} T={t_period:.6g}")
     return EXIT_OK
 
 
 def cmd_compare(config: RunConfig) -> int:
-    out = _ensure_out(config)
     rows = analysis.comparison_table(config.dist)
+    out = _ensure_out(config)
     csvio.write_comparison(out / "comparison.csv", rows)
     if config.want_svg:
         _comparison_svg(out / "comparison_recip.svg", rows, "reciprocal step numbers")
@@ -209,20 +211,23 @@ def _distribution_artifacts(out: Path, stem: str, dist: AmplitudeDistribution,
     props = dist.proportions()
     csvio.write_distribution(out / f"{stem}.csv", dist.labels, props)
     if title is not None:
-        svg.bar_plot(out / f"{stem}.svg", list(dist.labels), list(props), title, "label k", "p_k")
+        svg.bar_plot(out / f"{stem}.svg", dist.labels, props, title, "label k", "p_k")
 
 
-def _continuum_artifacts(out: Path, p_k: complex, title: str | None):
-    """continuum.csv over three periods, plus continuum.svg when title is given.
-
-    Returns the fitted solution and the period T.
-    """
+def _continuum_fit(p_k: complex):
+    """The fitted solution and its period T; raises DomainError if three periods
+    need more than csvio.MAX_CONTINUUM_ROWS samples."""
     sol = continuum.fit_one_step_solution(p_k)
     t_period = continuum.period(p_k)
+    csvio.continuum_rows(3.0 * t_period)
+    return sol, t_period
+
+
+def _continuum_artifacts(out: Path, sol, t_period: float, title: str | None) -> None:
+    """continuum.csv over three periods, plus continuum.svg when title is given."""
     xs, fa, fb = csvio.write_continuum(out / "continuum.csv", sol, x_max=3.0 * t_period)
     if title is not None:
         svg.line_plot(out / "continuum.svg", [("f_a", xs, fa), ("f_b", xs, fb)], title, "x", "f")
-    return sol, t_period
 
 
 def _repro_check(out: Path, dist: AmplitudeDistribution, k: int, title: str) -> None:
@@ -230,7 +235,7 @@ def _repro_check(out: Path, dist: AmplitudeDistribution, k: int, title: str) -> 
     traj = grover_core.iterate(dist, k, FIG_TRAJECTORY_STEPS)
     csvio.write_trajectory(out / "trajectory.csv", traj)
     _trajectory_svg(out / "trajectory.svg", traj, f"{title}: recurrence")
-    _continuum_artifacts(out, dist.amplitude(k), f"{title}: continuum")
+    _continuum_artifacts(out, *_continuum_fit(dist.amplitude(k)), f"{title}: continuum")
 
 
 def _coherent_figure_dist(alpha: float) -> AmplitudeDistribution:

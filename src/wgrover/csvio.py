@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numtext
 from .analysis import ComparisonRow
 from .continuum import ContinuumSolution, eval_fa, eval_fb
 from .errors import DomainError
@@ -34,43 +35,44 @@ COMPARISON_HEADER = [
 ]
 
 
-# Array columns become Python scalars a block of rows at a time, so memory
-# stays flat on long runs.
-BLOCK_ROWS = 4096
 # Upper bound on continuum samples: [0, 3T] at step 0.01 grows like 1/|P|,
 # past 10^14 rows for the deep coherent tails.
 MAX_CONTINUUM_ROWS = 10**6
 
 # "%.17g" is format(x, ".17g"): round-trip-exact floats.  No field ever
-# needs CSV quoting, so one %-format per row writes what csv.writer would.
+# needs CSV quoting, so these row formats write what csv.writer would;
+# numtext.format_rows writes their bytes a block of rows at a time.
 TRAJECTORY_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 CONTINUUM_ROW = "%.17g,%.17g,%.17g\n"
 DISTRIBUTION_ROW = "%d,%.17g\n"
 COMPARISON_ROW = "%d,%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
 
 
-def _write(path: Path, header: list[str], row_format: str, rows) -> None:
-    """Write the header, then each row tuple through row_format, streamed."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(row_format.__mod__, rows))
-
-
-def _array_rows(*columns):
-    """Rows of equally long arrays as tuples of Python scalars, a block at a time."""
-    for lo in range(0, len(columns[0]), BLOCK_ROWS):
-        yield from zip(*(c[lo:lo + BLOCK_ROWS].tolist() for c in columns))
+def _write(path: Path, header: list[str], row_format: str, *columns) -> None:
+    """Write the header, then the columns' rows through row_format, streamed."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(numtext.format_rows(row_format, *columns))
 
 
 def write_distribution(path: Path, labels, proportions) -> None:
-    _write(path, DISTRIBUTION_HEADER, DISTRIBUTION_ROW,
-           zip(labels, np.asarray(proportions, dtype=float).tolist()))
+    _write(path, DISTRIBUTION_HEADER, DISTRIBUTION_ROW, labels, proportions)
 
 
 def write_trajectory(path: Path, traj: Trajectory) -> None:
-    rows = _array_rows(np.arange(len(traj.prob)), traj.a.real, traj.a.imag,
-                       traj.b.real, traj.b.imag, traj.prob)
-    _write(path, TRAJECTORY_HEADER, TRAJECTORY_ROW, rows)
+    _write(path, TRAJECTORY_HEADER, TRAJECTORY_ROW, range(len(traj.prob)), traj.a.real,
+           traj.a.imag, traj.b.real, traj.b.imag, traj.prob)
+
+
+def continuum_rows(x_max: float, x_step: float = 0.01) -> int:
+    """Rows of the grid [0, x_max] at x_step; above MAX_CONTINUUM_ROWS raises DomainError."""
+    steps = x_max / x_step
+    if not (math.isfinite(steps) and round(steps) + 1 <= MAX_CONTINUUM_ROWS):
+        raise DomainError(
+            f"continuum sampling of [0, {x_max:.6g}] at step {x_step} needs "
+            f"{steps + 1:.3g} rows, above the limit of {MAX_CONTINUUM_ROWS}"
+        )
+    return round(steps) + 1
 
 
 def write_continuum(
@@ -81,24 +83,18 @@ def write_continuum(
     Returns the samples as arrays (x, f_a, f_b).  A grid of more than
     MAX_CONTINUUM_ROWS rows raises DomainError before the file is opened.
     """
-    steps = x_max / x_step
-    if not (math.isfinite(steps) and round(steps) + 1 <= MAX_CONTINUUM_ROWS):
-        raise DomainError(
-            f"continuum sampling of [0, {x_max:.6g}] at step {x_step} needs "
-            f"{steps + 1:.3g} rows, above the limit of {MAX_CONTINUUM_ROWS}"
-        )
-    xs = np.arange(round(steps) + 1) * x_step
+    xs = np.arange(continuum_rows(x_max, x_step)) * x_step
     fa, fb = eval_fa(sol, xs), eval_fb(sol, xs)
-    _write(path, CONTINUUM_HEADER, CONTINUUM_ROW, _array_rows(xs, fa, fb))
+    _write(path, CONTINUUM_HEADER, CONTINUUM_ROW, xs, fa, fb)
     return xs, fa, fb
 
 
 def write_comparison(path: Path, rows: list[ComparisonRow]) -> None:
-    out = (
-        (k, p, c, g, "" if peak is None else peak, rc, rg, lc, lg)
-        for k, p, c, g, peak, rc, rg, lc, lg in rows
-    )
-    _write(path, COMPARISON_HEADER, COMPARISON_ROW, out)
+    """A row without a discrete peak gets an empty cell, which `%s` writes."""
+    columns = list(zip(*rows)) or [()] * len(COMPARISON_HEADER)
+    peaks = columns[4] = np.empty(len(rows), dtype=object)
+    peaks[:] = ["" if row.discrete_peak is None else row.discrete_peak for row in rows]
+    _write(path, COMPARISON_HEADER, COMPARISON_ROW, *columns)
 
 
 def _read(path: Path, expected_header: list[str]) -> list[list[str]]:

@@ -22,6 +22,7 @@ without stepping.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections.abc import Sequence
@@ -37,6 +38,9 @@ SUBSPACE_RESIDUAL_TOL = 1e-8
 STATE_NORM_TOL = 1e-9
 # Above this |P(k)| one step turns sin^2((2r + 1) theta) past its crest.
 ALIAS_EDGE = math.sqrt(0.5)
+# iterate collects this many steps in Python lists before it copies them
+# into its preallocated arrays.
+BLOCK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,10 @@ def step(state: TwoDState, p_k: complex) -> TwoDState:
     With success_probability, the per-step oracle that iterate must match
     bit for bit.
     """
-    factor = 1.0 - 4.0 * float(target_proportions(abs(p_k)))
     p = complex(p_k)
+    # abs() of a complex NaN can raise a spurious OverflowError; a NaN
+    # |P(k)| is degenerate under target_proportions.
+    factor = 1.0 - 4.0 * float(target_proportions(abs(p) if cmath.isfinite(p) else math.nan))
     a, b = complex(state.a), complex(state.b)
     return TwoDState(a=factor * a - 2.0 * p.conjugate() * b, b=b + 2.0 * p * a)
 
@@ -115,11 +121,19 @@ def success_probability(state: TwoDState, p_k: complex) -> float:
     """Probability of measuring the target: |a P(k) + b|^2.
 
     Values within 1e-9 above 1 are clamped (floating drift); anything
-    larger means the evolution code is broken and raises.
+    larger, and a NaN or infinite amplitude, means the evolution code is
+    broken and raises.
     """
     amp = complex(state.a) * complex(p_k) + complex(state.b)
-    prob = abs(amp) ** 2
-    if prob > 1.0 + PROB_OVERSHOOT_TOL:
+    if not cmath.isfinite(amp):
+        raise ConsistencyError(
+            f"success amplitude {amp!r} is not finite; the recurrence state is inconsistent"
+        )
+    try:
+        prob = abs(amp) ** 2
+    except OverflowError:
+        prob = math.inf
+    if not prob <= 1.0 + PROB_OVERSHOOT_TOL:
         raise ConsistencyError(
             f"success probability {prob!r} exceeds 1 beyond tolerance; "
             "the recurrence state is inconsistent"
@@ -127,18 +141,14 @@ def success_probability(state: TwoDState, p_k: complex) -> float:
     return min(max(prob, 0.0), 1.0)
 
 
-def _readonly(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     """Run the recurrence from (a, b) = (1, 0) for r_max steps.
 
     The same scalar complex arithmetic as step and success_probability, with
     P(k) checked once and the step's constants hoisted; the results are
-    bit-identical to repeated step calls.
+    bit-identical to repeated step calls.  Steps are collected BLOCK_STEPS
+    at a time into preallocated arrays, so a long run holds 40 bytes per
+    step, not one Python object per value.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
@@ -146,47 +156,60 @@ def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     p = complex(p_k)
     factor = 1.0 - 4.0 * float(target_proportions(abs(p), (k,)))
     two_pc, two_p = 2.0 * p.conjugate(), 2.0 * p
+    a_arr = np.empty(r_max + 1, np.complex128)
+    b_arr = np.empty(r_max + 1, np.complex128)
+    prob = np.empty(r_max + 1, np.float64)
     a, b = 1.0 + 0.0j, 0.0 + 0.0j
-    a_s, b_s, probs = [a], [b], [abs(a * p + b) ** 2]
-    for _ in range(r_max):
-        a, b = factor * a - two_pc * b, b + two_p * a
-        a_s.append(a)
-        b_s.append(b)
-        probs.append(abs(a * p + b) ** 2)
-    prob = np.array(probs)
-    over = prob > 1.0 + PROB_OVERSHOOT_TOL
-    if over.any():
+    a_arr[0], b_arr[0], prob[0] = a, b, abs(a * p + b) ** 2
+    try:
+        for lo in range(1, r_max + 1, BLOCK_STEPS):
+            hi = min(lo + BLOCK_STEPS, r_max + 1)
+            a_s, b_s, probs = [], [], []
+            for _ in range(lo, hi):
+                a, b = factor * a - two_pc * b, b + two_p * a
+                a_s.append(a)
+                b_s.append(b)
+                probs.append(abs(a * p + b) ** 2)
+            a_arr[lo:hi], b_arr[lo:hi], prob[lo:hi] = a_s, b_s, probs
+    except OverflowError:
+        # abs() overflowed, or met a NaN amplitude (a spurious OverflowError)
         raise ConsistencyError(
-            f"success probability {float(prob[over.argmax()])!r} exceeds 1 beyond tolerance; "
+            f"success amplitude at r = {lo + len(probs)} is not finite; "
             "the recurrence state is inconsistent"
+        ) from None
+    bad = ~(prob <= 1.0 + PROB_OVERSHOOT_TOL)
+    if bad.any():
+        raise ConsistencyError(
+            f"success probability {float(prob[bad.argmax()])!r} is NaN or exceeds 1 beyond "
+            "tolerance; the recurrence state is inconsistent"
         )
-    return Trajectory(target=k, p_k=p_k, a=_readonly(a_s, np.complex128),
-                      b=_readonly(b_s, np.complex128),
-                      prob=_readonly(np.clip(prob, 0.0, 1.0), np.float64))
-
-
-def _first_local_max(probs) -> tuple[int, float] | None:
-    """First interior r with probs[r] >= both neighbors; ties go to smaller r."""
-    for r in range(1, len(probs) - 1):
-        if probs[r] >= probs[r - 1] and probs[r] >= probs[r + 1]:
-            return r, probs[r]
-    return None
+    np.clip(prob, 0.0, 1.0, out=prob)
+    for arr in (a_arr, b_arr, prob):
+        arr.setflags(write=False)
+    return Trajectory(target=k, p_k=p_k, a=a_arr, b=b_arr, prob=prob)
 
 
 def first_peak(traj: Trajectory) -> tuple[int, float]:
-    """First local maximum of the success probability over integer r."""
-    if len(traj.prob) < 3:
+    """First local maximum of the success probability over integer r.
+
+    The first interior r with prob[r] >= both neighbours; ties go to the
+    smaller r.
+    """
+    prob = traj.prob
+    if len(prob) < 3:
         raise NoPeakError(
-            f"trajectory has only {len(traj.prob)} points; need at least 3 "
+            f"trajectory has only {len(prob)} points; need at least 3 "
             "to bracket a peak (increase r_max)"
         )
-    found = _first_local_max(traj.prob.tolist())
-    if found is None:
+    mid = prob[1:-1]
+    peaks = (mid >= prob[:-2]) & (mid >= prob[2:])
+    if not peaks.any():
         raise NoPeakError(
-            f"no success-probability peak within r_max = {len(traj.prob) - 1}; "
+            f"no success-probability peak within r_max = {len(prob) - 1}; "
             "rerun with a larger r_max"
         )
-    return found
+    r = int(peaks.argmax()) + 1
+    return r, float(prob[r])
 
 
 def first_crests(mag) -> np.ndarray:

@@ -1,0 +1,380 @@
+"""Rows of numbers as text, byte-exact with Python's `%`, a block at a time.
+
+format_rows(row_format, *columns) yields the bytes of `row_format % row` for
+every row of equally long int64/float64 columns.  The conversions are the
+ones the tool writes: `%d` and `%s` of an int, `%.17g` (round-trip-exact
+floats) and `%.2f` (SVG coordinates).  Python's `%` is the exact oracle:
+correctly rounded, ties to even (Gay 1990).  The kernel matches it without
+one `%` call per number:
+
+* `%.17g`: with E = floor(log10|x|), the double-double product
+  |x| * 10^(16 - E) = p + t uses Dekker's (1971) TwoProduct for
+  |x| * hi(10^(16 - E)) and adds |x| * lo(10^(16 - E)).  The 17-digit
+  integer p + t is rounded only where the fraction of t lies farther from
+  1/2 than 2^-40, far above the product's error (below 1e-14).
+* `%.2f`: p = fl(|x| * 100) rounds to the same integer as the exact
+  product unless p is a half, where TwoProduct's exact error decides.
+* `%d`: the integer itself.
+
+Every cell of a block is laid out in the same seven 8-byte words, its
+characters masked by the cell's layout, and one translate deletes the
+masked bytes, so a block costs a constant number of numpy calls.  A row
+holding a value the kernel cannot certify (an exact decimal tie such as
+2^-25, a non-finite value, a value outside the power table's exponent
+range, or a cell that is not a number) is written by `row_format % row`
+instead, that row alone.
+"""
+
+from __future__ import annotations
+
+import re
+from functools import cache
+from types import SimpleNamespace
+
+import numpy as np
+
+# Cells formatted per block: BLOCK_CELLS // (cells per row) rows at a time,
+# which bounds the kernel's temporary arrays at about 1 MB.
+BLOCK_CELLS = 2048
+
+_INT, _G, _F = "ds", ".17g", ".2f"
+
+# A cell's field is seven 8-byte words.  Word 0 ends in the sign and the
+# "0." that opens a %g value below 1; words 1-5 hold twenty digits, four
+# per word, each followed by a decimal-point slot; word 6 starts with "e",
+# the exponent's sign and three exponent digits.  Unused bytes are zero.
+_SIGN, _ZERO, _DIGITS, _EXP = 5, 6, 8, 48
+_WORDS = 7
+_NDIG = 20
+# A 17-digit %g mantissa fills the last 17 of the twenty digits.
+_G_FIRST = _NDIG - 17
+
+# Decimal exponents E the %g path certifies: the splitter keeps |x| and
+# 10^(16 - E) finite, and lo(10^(16 - E)) stays a normal number.
+_EXP_MIN, _EXP_MAX = -280, 290
+# A fraction of |x| * 10^(16 - E) within this of 1/2 is left to `%`.
+_CERT = 2.0**-40
+# Below this |x| * 100 < 2^51, so halves are multiples of its ulp.
+_F_MAX = 2.0**51 / 100
+_SPLITTER = 134217729.0  # 2^27 + 1 (Veltkamp)
+_INT64_MIN = np.iinfo(np.int64).min
+
+# Layouts of a field, numbered per kind: %g by exponent class (E = -4..16
+# printed fixed, then exponent of two or of three digits) and last nonzero
+# digit; %.2f and %d by first nonzero digit.  A cell's code is
+# 2 * layout + sign.
+_G_CLASSES, _G_LASTS = 23, _NDIG - _G_FIRST
+_F_BASE = _G_CLASSES * _G_LASTS
+_D_BASE = _F_BASE + _NDIG - 2
+_LAYOUTS = _D_BASE + _NDIG
+
+
+def format_rows(row_format: str, *columns):
+    """Yield the bytes of row_format % row for every row, a block of rows at a time.
+
+    row_format holds literal text and one `%d`, `%s`, `%.17g` or `%.2f` per
+    column.  `%d`/`%s` columns are integers; a `%s` column may also hold
+    other objects (such as "" for an empty cell), whose rows go to `%`.
+    Each block is a bytes-like object.
+    """
+    plan = _plan(row_format)
+    if len(columns) != len(plan.kinds):
+        raise ValueError(f"{row_format!r} takes {len(plan.kinds)} columns, got {len(columns)}")
+    cols, forced = zip(*map(_column, columns, plan.kinds))
+    n_rows = len(cols[0])
+    if any(len(c) != n_rows for c in cols):
+        raise ValueError("columns differ in length")
+    forced = [f for f in forced if f is not None]
+    step = max(1, BLOCK_CELLS // len(cols))
+    out = np.zeros((min(n_rows, step), len(cols), _WORDS + plan.tails.shape[1]), np.uint64)
+    out[..., _WORDS:] = plan.tails
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        fallback = ~_fill(plan, out[:hi - lo], [c[lo:hi] for c in cols]).all(axis=0)
+        for f in forced:
+            fallback |= f[lo:hi]
+        yield _emit(plan, out[:hi - lo], fallback, row_format, columns, lo)
+
+
+def _format_row(row_format: str, row: tuple) -> bytes:
+    """One row through Python's %, for the rows the kernel does not certify."""
+    return (row_format % row).encode()
+
+
+@cache
+def _plan(row_format: str) -> SimpleNamespace:
+    """What a row format fixes: its opening literal (head), the literal after
+    each cell as 8-byte words (tails), its kinds, the rounder and column
+    indices per kind present, and per-cell constants as (cells, 1) arrays.
+    """
+    parts = re.split(r"%(d|s|\.17g|\.2f)", row_format)
+    literals, kinds = [p.encode() for p in parts[::2]], parts[1::2]
+    if not kinds or any(b"%" in text or b"\0" in text for text in literals):
+        raise ValueError(f"unsupported row format {row_format!r}")
+    kinds = [_INT if k in "ds" else k for k in kinds]
+    # The last cell's literal is the closing one followed by the opening one,
+    # so a block's text is the opening literal, the nonzero bytes of the
+    # words, less the opening literal at the end.
+    tails = literals[1:-1] + [literals[-1] + literals[0]]
+    words = np.zeros((len(kinds), -(-max(map(len, tails)) // 8) * 8), np.uint8)
+    for i, text in enumerate(tails):
+        words[i, :len(text)] = np.frombuffer(text, np.uint8)
+    array = np.array(kinds)
+    rounders = [(rounder, (array == kind).nonzero()[0])
+                for kind, rounder in ((_G, _round17), (_F, _round2), (_INT, _integer))
+                if kind in kinds]
+    is_g, is_f = array[:, None] == _G, array[:, None] == _F
+    return SimpleNamespace(
+        head=literals[0], tails=words.view(np.uint64), kinds=kinds, rounders=rounders,
+        is_g=is_g, has_g=is_g.any(), only_g=is_g.all(),
+        # the first %.2f or %d layout, and the first digit these always print
+        fd_base=np.where(is_f, 2 * _F_BASE, 2 * _D_BASE),
+        fd_cap=np.where(is_f, _NDIG - 3, _NDIG - 1))
+
+
+def _column(col, kind):
+    """(values as int64 or float64, rows forced to `%` or None)."""
+    if kind != _INT:
+        return np.asarray(col, dtype=np.float64), None
+    if isinstance(col, range):
+        return np.arange(col.start, col.stop, col.step, dtype=np.int64), None
+    arr = np.asarray(col)
+    if arr.dtype != object:
+        return arr.astype(np.int64, copy=False), None
+    other = np.fromiter((type(v) is not int for v in arr), bool, len(arr))
+    return np.where(other, 0, arr).astype(np.int64), other
+
+
+def _fill(plan, out: np.ndarray, block) -> np.ndarray:
+    """Write the fields of one block of column slices into out; returns the certified cells.
+
+    Per-cell arrays are (cells, rows): one row per column of the block.
+    """
+    if len(plan.rounders) == 1:
+        mag, exp, neg, ok = plan.rounders[0][0](np.array(block))
+    else:
+        shape = (len(block), len(block[0]))
+        mag, exp = np.empty(shape, np.int64), np.zeros(shape, np.int64)
+        neg, ok = np.empty(shape, bool), np.empty(shape, bool)
+        for rounder, idx in plan.rounders:
+            m, e, s, k = rounder(np.array([block[i] for i in idx]))
+            mag[idx], neg[idx], ok[idx] = m, s, k
+            if e is not None:
+                exp[idx] = e
+    t = _tables()
+    groups = _digit_groups(mag)
+    if plan.has_g:
+        last = (t.last.take(groups) + t.group_start).max(axis=0)
+        code = t.g_code[exp - t.exp_min, np.maximum(last, _G_FIRST) - _G_FIRST]
+    if not plan.only_g:
+        first = (t.first.take(groups) + t.group_start).min(axis=0)
+        fd = plan.fd_base + 2 * np.minimum(first, plan.fd_cap)
+        code = np.where(plan.is_g, code, fd) if plan.has_g else fd
+    code = code + neg
+    words = out.transpose(2, 1, 0)
+    words[0] = t.keep[0].take(code)
+    digits = t.digits.take(groups)
+    digits &= t.keep[1:6].take(code, axis=1)
+    words[1:6] = digits
+    if plan.has_g:
+        exps = t.exp.take(exp - t.exp_min)
+        exps &= t.keep[6].take(code)
+        words[6] = exps
+    return ok
+
+
+def _emit(plan, out: np.ndarray, fallback: np.ndarray, row_format: str,
+          columns, start: int):
+    """The block's bytes, with each fallback row formatted by `%`."""
+    words = out.ravel()
+    kept = words != 0
+    text = bytearray(8 * int(np.count_nonzero(kept)))
+    np.compress(kept, words, out=np.frombuffer(text, np.uint64))
+    text = text.translate(None, b"\0")
+    if plan.head:
+        text = plan.head + text
+    if fallback.any():
+        lengths = np.count_nonzero(out.view(np.uint8).reshape(len(out), -1), axis=1)
+        starts = [0] + np.cumsum(lengths).tolist()
+        pieces, pos = [], 0
+        for r in fallback.nonzero()[0].tolist():
+            row = tuple(c[start + r] for c in columns)
+            pieces += [text[pos:starts[r]], _format_row(row_format, row)]
+            pos = starts[r + 1]
+        pieces.append(text[pos:])
+        text = b"".join(pieces)
+    return text[:len(text) - len(plan.head)] if plan.head else text
+
+
+def _digit_groups(mag) -> np.ndarray:
+    """The five four-digit groups of each integer below 10^20, most significant first."""
+    groups = np.empty((5,) + mag.shape, np.int64)
+    for j in range(4, 0, -1):
+        q = mag // 10_000
+        np.subtract(mag, q * 10_000, out=groups[j])
+        mag = q
+    groups[0] = mag
+    return groups
+
+
+@cache
+def _tables() -> SimpleNamespace:
+    """Lookup tables, built on first use.
+
+    digits: per group 0..9999, its four digits each followed by "." (uint64);
+    first, last: its first and last nonzero digit, 100 and -100 for none;
+    group_start: (5, 1, 1), the index of each group's first digit;
+    exp: "e", sign and three digits of each exponent from exp_min;
+    g_code: (exponent from exp_min, last digit - 3) -> 2 * %g layout;
+    keep: (words, codes), the bytes a code prints as 0xff (word 0 as its
+    characters).
+    """
+    n = np.arange(10_000)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    nonzero = digits != 0
+    first = np.where(n > 0, nonzero.argmax(axis=1), 100).astype(np.int8)
+    last = np.where(n > 0, 3 - nonzero[:, ::-1].argmax(axis=1), -100).astype(np.int8)
+    dotted = np.full((10_000, 8), ord("."), np.uint8)
+    dotted[:, ::2] = digits + ord("0")
+    e = np.arange(_EXP_MIN - 1, _EXP_MAX + 3)
+    exp = np.zeros((len(e), 8), np.uint8)
+    exp[:, 0] = ord("e")
+    exp[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    exp[:, 2:5] = np.stack([abs(e) // 100, abs(e) // 10 % 10, abs(e) % 10], axis=1) + ord("0")
+    g_class = np.where((e >= -4) & (e <= 16), e + 4, np.where(abs(e) >= 100, 22, 21))
+    g_code = (2 * (g_class[:, None] * _G_LASTS + np.arange(_G_LASTS))).astype(np.int16)
+    keep = np.zeros((_LAYOUTS, 2, 8 * _WORDS), np.uint8)
+    for layout in range(_LAYOUTS):
+        q, lo, hi, zero, exp_digits = _field(layout)
+        slots = keep[layout]
+        slots[1, _SIGN] = ord("-")
+        slots[:, _ZERO:_DIGITS] = np.frombuffer(b"0.", np.uint8) * zero
+        slots[:, _DIGITS + 2 * lo:_DIGITS + 2 * hi + 1:2] = 255
+        if q is not None:
+            slots[:, _DIGITS + 2 * q + 1] = 255
+        slots[:, _EXP:_EXP + 5] = 255 * np.array([exp_digits > 0] * 2 + [exp_digits == 3]
+                                                 + [exp_digits > 0] * 2)
+    tables = SimpleNamespace(
+        digits=dotted.view(np.uint64).ravel(), first=first, last=last,
+        group_start=np.arange(0, _NDIG, 4, dtype=np.int8).reshape(5, 1, 1),
+        exp=exp.view(np.uint64).ravel(), exp_min=_EXP_MIN - 1, g_code=g_code,
+        keep=keep.reshape(2 * _LAYOUTS, 8 * _WORDS).view(np.uint64).T.copy())
+    for t in vars(tables).values():
+        if isinstance(t, np.ndarray):
+            t.setflags(write=False)
+    return tables
+
+
+def _field(layout: int) -> tuple[int | None, int, int, bool, int]:
+    """(q, lo, hi, "0." shown, exponent digits) of one layout.
+
+    Digits lo..hi of the twenty are printed, with a point after digit q
+    unless q is None.
+    """
+    if layout >= _D_BASE:
+        return None, layout - _D_BASE, _NDIG - 1, False, 0
+    if layout >= _F_BASE:
+        return _NDIG - 3, layout - _F_BASE, _NDIG - 1, False, 0
+    g_class, last = divmod(layout, _G_LASTS)
+    last += _G_FIRST
+    if g_class >= 21:
+        return _G_FIRST if last > _G_FIRST else None, _G_FIRST, last, False, g_class - 19
+    e = g_class - 4
+    if e < 0:
+        return None, _G_FIRST + e + 1, last, True, 0
+    q = _G_FIRST + e
+    return q if last > q else None, _G_FIRST, max(last, q), False, 0
+
+
+@cache
+def _pow10_table() -> np.ndarray:
+    """Rows hi, its Veltkamp halves, and lo of 10^(16 - E), E from _EXP_MIN - 1.
+
+    hi is 10^(16 - E) correctly rounded and lo the correctly rounded rest,
+    both from exact integer arithmetic; built on first use, not at import.
+    """
+    hi, lo = [], []
+    for e in range(_EXP_MIN - 1, _EXP_MAX + 2):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    table = np.stack([hi, *_split(hi), np.array(lo)])
+    table.setflags(write=False)
+    return table
+
+
+def _split(a):
+    """Veltkamp's split: a == a_hi + a_lo exactly, each half of 26 bits."""
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    return a_hi, a - a_hi
+
+
+def _two_product(a, b, b_hi, b_lo):
+    """(p, e) with p = fl(a * b) and p + e == a * b exactly (Dekker 1971)."""
+    a_hi, a_lo = _split(a)
+    p = a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _scaled(a, exp):
+    """|x| * 10^(16 - exp) as p + t: p = fl(|x| * hi), t carries the rest."""
+    hi, hi_hi, hi_lo, lo = _pow10_table().take(exp - (_EXP_MIN - 1), axis=1)
+    p, e = _two_product(a, hi, hi_hi, hi_lo)
+    return p, e + a * lo
+
+
+def _round17(x):
+    """17-digit integer, exponent, sign and certified flag of each %.17g value."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = (e >= _EXP_MIN) & (e <= _EXP_MAX)
+    a = np.where(ok, a, 1.0)
+    exp = np.where(ok, e, 0.0).astype(np.int64)
+    p, t = _scaled(a, exp)
+    # log10 can miss by one next to a power of ten: rescale so p + t lies
+    # in [1e16, 1e17) (1e16 and 1e17 are exact doubles).
+    edge = ((p < 1e16) | (p >= 1e17) | ((p == 1e16) & (t < 0))).ravel().nonzero()[0]
+    if len(edge):
+        pe, te = p.flat[edge], t.flat[edge]
+        shift = ((pe > 1e17) | ((pe == 1e17) & (te >= 0))).astype(np.int64)
+        shift -= (pe < 1e16) | ((pe == 1e16) & (te < 0))
+        exp.flat[edge] += shift
+        p.flat[edge], t.flat[edge] = _scaled(a.flat[edge], exp.flat[edge])
+    whole = np.floor(t)
+    frac = t - whole
+    ok &= np.abs(frac - 0.5) > _CERT
+    mag = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    # rounding up to 10^17 carries into the exponent
+    carry = mag == 10**17
+    if carry.any():
+        mag[carry] = 10**16
+        exp += carry
+    zero = x == 0.0
+    return np.where(zero, 0, mag), np.where(zero, 0, exp), np.signbit(x), ok | zero
+
+
+def _round2(x):
+    """|x| * 100 rounded half to even, no exponent, sign and certified flag of each %.2f value."""
+    a = np.abs(x)
+    ok = a < _F_MAX
+    a = np.where(ok, a, 0.0)
+    p = a * 100.0
+    n = np.rint(p)
+    # p - n is exact: a p that is no half rounds like the exact product,
+    # and on a half TwoProduct's exact error breaks the tie
+    halves = (np.abs(p - n) == 0.5).ravel().nonzero()[0]
+    if len(halves):
+        _, e = _two_product(a.flat[halves], 100.0, 100.0, 0.0)
+        n.flat[halves] = np.where(e == 0, n.flat[halves], np.floor(p.flat[halves]) + (e > 0))
+    return n.astype(np.int64), None, np.signbit(x), ok
+
+
+def _integer(v):
+    """|v|, no exponent, sign and flag of each %d value; INT64_MIN has no |v|."""
+    ok = v != _INT64_MIN
+    return np.abs(np.where(ok, v, 0)), None, v < 0, ok

@@ -13,11 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numtext
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 16, 34, 46
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R
 PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
+POINT = "%.2f,%.2f "
+BAR = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#1f77b4" stroke="black" '
+       'stroke-width="0.5"/>\n')
 
 
 def _num(x: float) -> str:
@@ -121,9 +126,13 @@ def line_plot(
     ylo, yhi = float(all_y.min()), float(all_y.max())
     ypad = 0.05 * (yhi - ylo if yhi > ylo else 1.0)
     parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, ylo - ypad, yhi + ypad)
-    for i, (name, xs, ys) in enumerate(series):
+    # all series in one pass; the text of each point ends in its only space
+    text = b"".join(numtext.format_rows(POINT, px(all_x), py(all_y)))
+    starts = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(" ")) + 1
+    bounds = np.concatenate([[0], starts])[np.cumsum([0] + [len(xs) for _, xs, _ in series])]
+    for i, (name, _, _) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px(xs).tolist(), py(ys).tolist())))
+        pts = text[bounds[i]:bounds[i + 1] - 1].decode("ascii")
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -145,18 +154,16 @@ def bar_plot(
     xlabel: str,
     ylabel: str,
 ) -> None:
-    """Write a bar plot over integer labels."""
-    yhi = max(heights) * 1.05 if heights else 1.0
+    """Write a bar plot over integer labels; heights is a float array or sequence."""
+    heights = np.asarray(heights, dtype=float)
+    yhi = float(heights.max()) * 1.05 if len(heights) else 1.0
     xlo, xhi = labels[0] - 0.5, labels[-1] + 0.5
     parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, 0.0, yhi)
     # labels ascend, so xhi > xlo and this span is the one px divides by
     width = 0.8 / (xhi - xlo) * PLOT_W
-    for k, h in zip(labels, heights):
-        x, y = px(k - 0.4), py(h)
-        parts.append(
-            f'<rect x="{_num(x)}" y="{_num(y)}" width="{_num(width)}" '
-            f'height="{_num(MARGIN_T + PLOT_H - y)}" fill="#1f77b4" stroke="black" '
-            f'stroke-width="0.5"/>'
-        )
+    ys = py(heights)
+    bars = numtext.format_rows(BAR, px(np.asarray(labels) - 0.4), ys, np.full(len(ys), width),
+                               MARGIN_T + PLOT_H - ys)
+    parts.append(b"".join(bars)[:-1].decode("ascii"))
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")

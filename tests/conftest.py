@@ -1,0 +1,8 @@
+"""Suite-wide settings: the `ci` Hypothesis profile runs more examples.
+
+    python -m pytest tests/test_numtext.py --hypothesis-profile=ci
+"""
+
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=2000)

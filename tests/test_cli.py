@@ -3,9 +3,14 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wgrover
 from wgrover import amplitudes, csvio, grover_core
 from wgrover.amplitudes import MAX_ENTRIES, load_spec
 from wgrover.cli import MAX_RMAX, main
@@ -270,6 +275,21 @@ class TestExitCodes:
         assert f"validation error: {named} = 0.0 is degenerate" in err
         assert not (tmp_path / artifact).exists()
 
+    @pytest.mark.parametrize(
+        "command, spec, target, code",
+        [("simulate", COHERENT08_N200, "170", 1),
+         ("continuum", COHERENT08_N200, "170", 1),
+         ("compare", COHERENT08_N200, "170", 1),
+         ("continuum", COHERENT08, "21", 1),
+         ("simulate", COHERENT08, "21", 3)],
+        ids=["simulate", "continuum", "compare", "continuum-grid", "simulate-no-peak"],
+    )
+    def test_failed_run_creates_no_directory(self, tmp_path, command, spec, target, code):
+        out = tmp_path / "never"
+        assert run(command, "--inline", spec, "--target", target, "--svg",
+                   "--out", str(out)) == code
+        assert not out.exists()
+
     @pytest.mark.parametrize("weight", ["1e-20", "5e-324"], ids=["1e-20", "subnormal"])
     def test_smallest_targets_exit_3(self, tmp_path, capsys, weight):
         # valid targets (|P|^2 = 1e-20 and the smallest positive double)
@@ -320,3 +340,22 @@ class TestOutputDirDefaults:
         monkeypatch.chdir(tmp_path)
         assert run("dist", "--inline", UNIFORM4) == 0
         assert (tmp_path / "out" / "dist.csv").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_longest_run_memory_is_bounded(tmp_path):
+    # --rmax 10^6 on uniform(4) held ~200 MB of per-step Python objects
+    child = ("import resource, sys\n"
+             "from wgrover.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wgrover.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "simulate", "--inline", UNIFORM4, "--target", "1",
+         "--rmax", str(MAX_RMAX), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    code, max_rss_kib = proc.stdout.split()[-2:]
+    assert code == "0"
+    assert int(max_rss_kib) / 1024 < 120
+    assert sum(1 for _ in open(tmp_path / "trajectory.csv")) == MAX_RMAX + 2

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from wgrover import grover_core
 from wgrover.amplitudes import (
     AmplitudeDistribution,
     load_spec,
@@ -24,6 +25,7 @@ from wgrover.analysis import DEFAULT_PEAK_BUDGET
 from wgrover.cli import MAX_RMAX
 from wgrover.errors import ConsistencyError, DomainError, NoPeakError
 from wgrover.grover_core import (
+    Trajectory,
     TwoDState,
     dense_apply_G,
     first_peak,
@@ -91,6 +93,12 @@ class TestStep:
             with pytest.raises(DomainError, match="degenerate"):
                 step(TwoDState(1, 0), p)
 
+    def test_non_finite_complex_amplitude_is_degenerate(self):
+        # abs() of a complex NaN can raise a spurious OverflowError
+        for p in (complex(math.nan, math.nan), complex(0.1, math.nan), complex(math.inf, 0)):
+            with pytest.raises(DomainError, match="degenerate"):
+                step(TwoDState(1, 0), p)
+
 
 class TestSuccessProbability:
     def test_initial_state_measures_proportion(self):
@@ -113,6 +121,24 @@ class TestSuccessProbability:
     def test_inconsistent_state_raises(self):
         with pytest.raises(ConsistencyError):
             success_probability(TwoDState(0, 1.5), 0.5)
+
+    @pytest.mark.parametrize(
+        "state, p_k",
+        [
+            (TwoDState(math.nan, 0), 0.1),
+            (TwoDState(complex(math.nan, math.nan), 0), 0.1),
+            (TwoDState(0, complex(0, math.nan)), 0.1),
+            (TwoDState(math.inf, 0), 0.1),
+            (TwoDState(1, 0), math.nan),
+            (TwoDState(1, 0), complex(math.nan, math.nan)),
+            (TwoDState(1, 0), math.inf),
+            (TwoDState(1e200, 0), 0.5),
+        ],
+    )
+    def test_non_finite_or_overflowing_amplitude_raises(self, state, p_k):
+        # no silent NaN, and no OverflowError from abs() or the square
+        with pytest.raises(ConsistencyError):
+            success_probability(state, p_k)
 
 
 class TestIterate:
@@ -168,6 +194,23 @@ class TestIterate:
     def test_bad_r_max(self):
         with pytest.raises(DomainError):
             iterate(uniform(4), 1, 0)
+
+    @pytest.mark.parametrize("proportion", [math.nan, -1e300], ids=["nan", "overflow"])
+    def test_non_finite_probability_raises(self, monkeypatch, proportion):
+        # a broken step constant turns the state into NaN or infinity
+        monkeypatch.setattr(grover_core, "target_proportions",
+                            lambda mag, labels=None: proportion)
+        with pytest.raises(ConsistencyError):
+            iterate(uniform(4), 1, 10)
+
+    def test_long_run_spans_several_blocks(self):
+        r_max = 2 * grover_core.BLOCK_STEPS + 7
+        traj = iterate(uniform(20), 1, r_max)
+        assert len(traj.prob) == r_max + 1
+        tail = TwoDState(1, 0)
+        for _ in range(r_max):
+            tail = step(tail, P20)
+        assert (complex(traj.a[-1]), complex(traj.b[-1])) == (tail.a, tail.b)
 
 
 def two_label_distribution(p_k: complex) -> AmplitudeDistribution:
@@ -253,6 +296,18 @@ class TestFirstPeak:
         r_star, prob = first_peak(traj)
         assert r_star == 2
         assert prob == pytest.approx(0.9011914371538547, abs=1e-12)
+
+    def test_first_interior_maximum_ties_go_to_smaller_r(self):
+        def peak(prob):
+            prob = np.array(prob)
+            zeros = np.zeros(len(prob), np.complex128)
+            return first_peak(Trajectory(target=1, p_k=0.5, a=zeros, b=zeros, prob=prob))
+
+        assert peak([0.1, 0.5, 0.5, 0.2]) == (1, 0.5)
+        assert peak([0.3, 0.2, 0.4, 0.4, 0.4]) == (2, 0.4)
+        assert peak([0.3, 0.3, 0.3]) == (1, 0.3)
+        with pytest.raises(NoPeakError):
+            peak([0.1, 0.2, 0.3, 0.4])
 
     def test_too_short_trajectory(self):
         with pytest.raises(NoPeakError):
