@@ -85,8 +85,8 @@ class AmplitudeDistribution:
         return complex(self.amplitudes[self.index_of(k)])
 
     def proportions(self) -> np.ndarray:
-        """All |P(n)|^2 in label order."""
-        return np.abs(self.amplitudes) ** 2
+        """All |P(n)|^2 in label order, by the comparison table's expression."""
+        return np.float_power(np.hypot(self.amplitudes.real, self.amplitudes.imag), 2)
 
 
 def target_proportions(mag, labels=None):
@@ -267,5 +267,7 @@ def _check_coherent_args(alpha: complex, q1: int, n: int) -> None:
         raise DomainError("alpha = 0 puts all weight on q = 0; degenerate database")
     if q1 < 0:
         raise DomainError(f"q1 must be a non-negative photon number, got {q1}")
+    if q1 + n >= 2**63:
+        raise DomainError(f"labels q1..q1+N must fit in 64 bits, got q1 + N = {q1 + n}")
     if n < 2:
         raise DomainError(f"coherent window needs N >= 2, got {n}")

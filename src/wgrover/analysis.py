@@ -23,6 +23,7 @@ import numpy as np
 from . import grover_core
 from .amplitudes import AmplitudeDistribution, target_proportions
 from .continuum import delta_tilde
+from .errors import DomainError
 
 # Rows whose first crest x* lies beyond this budget (x* + 2 > budget) report
 # no discrete peak: the table's contract, not a cost limit (every peak is
@@ -104,15 +105,22 @@ def comparison_table(
     nearest the first crest x* of sin^2((2r + 1) asin|P(k)|)
     (grover_core.first_peaks); labels with x* + 2 > peak_budget get None.
     The log columns use math.log, since np.log differs from it in the last
-    bit on some inputs.
+    bit on some inputs.  A |P(k)|^2 below about 5.6e-309, whose classical
+    step count 1/|P(k)|^2 overflows, raises DomainError.
     """
     mag, props, dts = _label_metrics(dist)
     crests = grover_core.first_crests(mag)
     filled = crests + 2 <= peak_budget
     peaks = np.full(len(props), None, dtype=object)
     peaks[filled] = grover_core.first_peaks(crests[filled]).astype(np.int64)
+    with np.errstate(over="ignore"):
+        classical = 1.0 / props
+    if np.isinf(classical).any():
+        i = int(np.argmax(np.isinf(classical)))
+        raise DomainError(f"classical steps 1/|P({dist.labels[i]})|^2 overflow: "
+                          f"|P({dist.labels[i]})|^2 = {float(props[i])!r}")
     p, dt = props.tolist(), dts.tolist()
-    classical, grover = (1.0 / props).tolist(), (1.0 / dts).tolist()
+    classical, grover = classical.tolist(), (1.0 / dts).tolist()
     return list(map(ComparisonRow, dist.labels, p, classical, grover, peaks.tolist(),
                     p, dt, map(math.log, classical), map(math.log, grover)))
 

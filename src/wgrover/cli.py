@@ -1,12 +1,15 @@
 """Command-line front end.
 
-    wgrover dist|simulate|continuum|compare  --spec FILE | --inline JSON
-            [--target K] [--rmax N] [--out DIR] [--svg]
-    wgrover repro fig2|fig3|fig4|fig5|fig6   [--out DIR]
+    wgrover dist      (--spec FILE | --inline JSON) [--out DIR] [--svg]
+    wgrover simulate  (--spec FILE | --inline JSON) --target K [--rmax N] [--out DIR] [--svg]
+    wgrover continuum (--spec FILE | --inline JSON) --target K [--out DIR] [--svg]
+    wgrover compare   (--spec FILE | --inline JSON) [--out DIR] [--svg]
+    wgrover repro     fig2|fig3|fig4|fig5|fig6 [--out DIR]
 
-CSV files are always written; SVG plots on request (always for repro).
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric error
-(for example no success-probability peak within --rmax).
+Each command accepts only the options it reads.  CSV files are always
+written; SVG plots on request (always for repro).  Exit codes: 0 success,
+1 validation error (an unread option included), 2 I/O error, 3 numeric
+error (for example no success-probability peak within --rmax).
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,22 +45,11 @@ FIG4_TARGET = 3
 FIG_TRAJECTORY_STEPS = 40
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    dist: AmplitudeDistribution | None
-    target: int | None
-    r_max: int
-    out_dir: Path
-    want_svg: bool
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad arguments by default; keep 2 reserved for I/O.
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"wgrover: validation error: {message}\n")
         raise SystemExit(EXIT_VALIDATION)
 
 
@@ -66,52 +57,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wgrover", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_spec=True):
-        if needs_spec:
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--spec", type=Path, help="JSON distribution spec file")
-            group.add_argument("--inline", help="JSON distribution spec string")
-        p.add_argument("--target", type=int, default=None, help="target basis label k")
-        p.add_argument("--rmax", type=int, default=200, help="iteration budget (default 200)")
+    def add_out(p):
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default $WGROVER_OUT or ./out)")
-        p.add_argument("--svg", action="store_true", help="also write SVG plots")
 
-    add_common(sub.add_parser("dist", help="emit the probability distribution"))
-    add_common(sub.add_parser("simulate", help="run the discrete recurrence"))
-    add_common(sub.add_parser("continuum", help="evaluate the damped-oscillation solution"))
-    add_common(sub.add_parser("compare", help="classical vs Grover step comparison"))
+    def spec_command(name, run, help, *, target=False, rmax=False):
+        p = sub.add_parser(name, help=help)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--spec", type=Path, help="JSON distribution spec file")
+        group.add_argument("--inline", help="JSON distribution spec string")
+        if target:
+            p.add_argument("--target", type=int, required=True, help="target basis label k")
+        if rmax:
+            p.add_argument("--rmax", type=int, default=200, help="iteration budget (default 200)")
+        add_out(p)
+        p.add_argument("--svg", action="store_true", help="also write SVG plots")
+        p.set_defaults(run=run)
+
+    spec_command("dist", cmd_dist, "emit the probability distribution")
+    spec_command("simulate", cmd_simulate, "run the discrete recurrence", target=True, rmax=True)
+    spec_command("continuum", cmd_continuum, "evaluate the damped-oscillation solution",
+                 target=True)
+    spec_command("compare", cmd_compare, "classical vs Grover step comparison")
     repro = sub.add_parser("repro", help="reproduce a figure's artifacts")
     repro.add_argument("figure", choices=["fig2", "fig3", "fig4", "fig5", "fig6"])
-    add_common(repro, needs_spec=False)
+    add_out(repro)
+    repro.set_defaults(run=cmd_repro)
     return parser
 
 
-def _load_config(args) -> RunConfig:
-    dist = None
-    if getattr(args, "spec", None) is not None:
+def _load_dist(args) -> AmplitudeDistribution:
+    """The distribution of the --spec file or --inline JSON string."""
+    source, text = "--inline", args.inline
+    if args.spec is not None:
+        source = str(args.spec)
         try:
             text = args.spec.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise DomainError(f"{args.spec}: not UTF-8 text: {exc}") from None
-        dist = _parse_spec(text, source=str(args.spec))
-    elif getattr(args, "inline", None) is not None:
-        dist = _parse_spec(args.inline, source="--inline")
-    if args.rmax < 1:
-        raise DomainError(f"--rmax must be >= 1, got {args.rmax}")
-    if args.rmax > MAX_RMAX:
-        raise DomainError(f"--rmax must be <= {MAX_RMAX}, got {args.rmax}")
-    out_dir = args.out or Path(os.environ.get("WGROVER_OUT", "out"))
-    return RunConfig(
-        dist=dist,
-        target=args.target,
-        r_max=args.rmax,
-        out_dir=out_dir,
-        want_svg=bool(args.svg),
-    )
-
-
-def _parse_spec(text: str, source: str) -> AmplitudeDistribution:
+            raise DomainError(f"{source}: not UTF-8 text: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -121,60 +104,59 @@ def _parse_spec(text: str, source: str) -> AmplitudeDistribution:
     return load_spec(obj)
 
 
-def _require_target(config: RunConfig) -> int:
-    if config.target is None:
-        raise DomainError("this command needs --target K")
-    return config.target
-
-
-def _ensure_out(config: RunConfig, *subdirs: str) -> Path:
-    path = config.out_dir.joinpath(*subdirs)
+def _ensure_out(args, *subdirs: str) -> Path:
+    path = (args.out or Path(os.environ.get("WGROVER_OUT", "out"))).joinpath(*subdirs)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def cmd_dist(config: RunConfig) -> int:
-    out = _ensure_out(config)
-    title = "database distribution" if config.want_svg else None
-    _distribution_artifacts(out, "dist", config.dist, title)
+def cmd_dist(args) -> int:
+    dist = _load_dist(args)
+    out = _ensure_out(args)
+    title = "database distribution" if args.svg else None
+    _distribution_artifacts(out, "dist", dist, title)
     print(f"wrote {out / 'dist.csv'}")
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    k = _require_target(config)
-    traj = grover_core.iterate(config.dist, k, config.r_max)
+def cmd_simulate(args) -> int:
+    # checked before the spec is loaded, so a bad budget allocates nothing
+    if args.rmax < 1:
+        raise DomainError(f"--rmax must be >= 1, got {args.rmax}")
+    if args.rmax > MAX_RMAX:
+        raise DomainError(f"--rmax must be <= {MAX_RMAX}, got {args.rmax}")
+    traj = grover_core.iterate(_load_dist(args), args.target, args.rmax)
     # a run without a peak exits 3 before anything is written
     r_star, prob = grover_core.first_peak(traj)
-    out = _ensure_out(config)
+    out = _ensure_out(args)
     csvio.write_trajectory(out / "trajectory.csv", traj)
-    if config.want_svg:
-        _trajectory_svg(out / "trajectory.svg", traj, f"recurrence, target k={k}")
+    if args.svg:
+        _trajectory_svg(out / "trajectory.svg", traj, f"recurrence, target k={args.target}")
     print(f"r*={r_star} prob={prob:.6g}")
     return EXIT_OK
 
 
-def cmd_continuum(config: RunConfig) -> int:
-    k = _require_target(config)
+def cmd_continuum(args) -> int:
     # fit and size the grid first: a run that exits 1 writes nothing
-    sol, t_period = _continuum_fit(config.dist.amplitude(k))
-    out = _ensure_out(config)
-    title = f"continuum approximation, target k={k}" if config.want_svg else None
+    sol, t_period = _continuum_fit(_load_dist(args).amplitude(args.target))
+    out = _ensure_out(args)
+    title = f"continuum approximation, target k={args.target}" if args.svg else None
     _continuum_artifacts(out, sol, t_period, title)
     x_star = continuum.predicted_peak_step(sol)
     print(f"x*={x_star:.6g} T={t_period:.6g}")
     return EXIT_OK
 
 
-def cmd_compare(config: RunConfig) -> int:
-    rows = analysis.comparison_table(config.dist)
-    out = _ensure_out(config)
+def cmd_compare(args) -> int:
+    dist = _load_dist(args)
+    rows = analysis.comparison_table(dist)
+    out = _ensure_out(args)
     csvio.write_comparison(out / "comparison.csv", rows)
-    if config.want_svg:
+    if args.svg:
         _comparison_svg(out / "comparison_recip.svg", rows, "reciprocal step numbers")
         _comparison_svg(out / "comparison_log.svg", rows, "log step numbers", log=True)
-    verdict = analysis.global_speedup(config.dist)
-    failures = analysis.local_failures(config.dist)
+    verdict = analysis.global_speedup(dist)
+    failures = analysis.local_failures(dist)
     print(
         f"global speedup: {verdict.holds} "
         f"(max 1/dt = {verdict.max_grover_scale:.6g} at k={verdict.grover_witness}, "
@@ -244,8 +226,9 @@ def _coherent_figure_dist(alpha: float) -> AmplitudeDistribution:
     )
 
 
-def cmd_repro(config: RunConfig, figure: str) -> int:
-    out = _ensure_out(config, figure)
+def cmd_repro(args) -> int:
+    figure = args.figure
+    out = _ensure_out(args, figure)
     if figure == "fig2":
         _repro_check(out, load_spec({"kind": "uniform", "n": FIG2_N}), FIG2_TARGET,
                      "uniform N=20")
@@ -256,7 +239,7 @@ def cmd_repro(config: RunConfig, figure: str) -> int:
     elif figure == "fig4":
         _repro_check(out, _coherent_figure_dist(FIG4_ALPHA), FIG4_TARGET,
                      f"coherent alpha={FIG4_ALPHA}, k={FIG4_TARGET}")
-    elif figure in ("fig5", "fig6"):
+    else:
         for alpha in FIGURE_ALPHAS:
             rows = analysis.comparison_table(_coherent_figure_dist(alpha))
             csvio.write_comparison(out / f"alpha_{alpha}.csv", rows)
@@ -271,24 +254,12 @@ def cmd_repro(config: RunConfig, figure: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _load_config(args)
-        if args.command == "dist":
-            return cmd_dist(config)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "continuum":
-            return cmd_continuum(config)
-        if args.command == "compare":
-            return cmd_compare(config)
-        if args.command == "repro":
-            return cmd_repro(config, args.figure)
-        raise DomainError(f"unknown command {args.command!r}")
+        return args.run(args)
     except DomainError as exc:
         print(f"wgrover: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -7,7 +7,6 @@ into a data file, which makes reproduction runs byte-comparable.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
@@ -35,7 +34,9 @@ COMPARISON_HEADER = [
 ]
 
 
-# Upper bound on continuum samples: [0, 3T] at step 0.01 grows like 1/|P|,
+# Continuum sample spacing in x.
+CONTINUUM_STEP = 0.01
+# Upper bound on continuum samples: [0, 3T] at CONTINUUM_STEP grows like 1/|P|,
 # past 10^14 rows for the deep coherent tails.
 MAX_CONTINUUM_ROWS = 10**6
 
@@ -64,26 +65,25 @@ def write_trajectory(path: Path, traj: Trajectory) -> None:
            traj.a.imag, traj.b.real, traj.b.imag, traj.prob)
 
 
-def continuum_rows(x_max: float, x_step: float = 0.01) -> int:
-    """Rows of the grid [0, x_max] at x_step; above MAX_CONTINUUM_ROWS raises DomainError."""
-    steps = x_max / x_step
+def continuum_rows(x_max: float) -> int:
+    """Rows of the grid [0, x_max]; above MAX_CONTINUUM_ROWS raises DomainError."""
+    steps = x_max / CONTINUUM_STEP
     if not (math.isfinite(steps) and round(steps) + 1 <= MAX_CONTINUUM_ROWS):
         raise DomainError(
-            f"continuum sampling of [0, {x_max:.6g}] at step {x_step} needs "
+            f"continuum sampling of [0, {x_max:.6g}] at step {CONTINUUM_STEP} needs "
             f"{steps + 1:.3g} rows, above the limit of {MAX_CONTINUUM_ROWS}"
         )
     return round(steps) + 1
 
 
-def write_continuum(
-    path: Path, sol: ContinuumSolution, x_max: float, x_step: float = 0.01
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample f_a, f_b on a uniform grid over [0, x_max] and write them.
+def write_continuum(path: Path, sol: ContinuumSolution,
+                    x_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample f_a, f_b over [0, x_max] at CONTINUUM_STEP and write them.
 
     Returns the samples as arrays (x, f_a, f_b).  A grid of more than
     MAX_CONTINUUM_ROWS rows raises DomainError before the file is opened.
     """
-    xs = np.arange(continuum_rows(x_max, x_step)) * x_step
+    xs = np.arange(continuum_rows(x_max)) * CONTINUUM_STEP
     fa, fb = eval_fa(sol, xs), eval_fb(sol, xs)
     _write(path, CONTINUUM_HEADER, CONTINUUM_ROW, xs, fa, fb)
     return xs, fa, fb
@@ -96,45 +96,3 @@ def write_comparison(path: Path, rows: list[ComparisonRow]) -> None:
     peaks[:] = ["" if row.discrete_peak is None else row.discrete_peak for row in rows]
     _write(path, COMPARISON_HEADER, COMPARISON_ROW, *columns)
 
-
-def _read(path: Path, expected_header: list[str]) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != expected_header:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        return list(reader)
-
-
-def read_distribution(path: Path) -> list[tuple[int, float]]:
-    return [(int(r[0]), float(r[1])) for r in _read(path, DISTRIBUTION_HEADER)]
-
-
-def read_trajectory(path: Path) -> list[tuple[int, complex, complex, float]]:
-    return [
-        (int(r[0]), complex(float(r[1]), float(r[2])), complex(float(r[3]), float(r[4])), float(r[5]))
-        for r in _read(path, TRAJECTORY_HEADER)
-    ]
-
-
-def read_continuum(path: Path) -> list[tuple[float, float, float]]:
-    return [(float(r[0]), float(r[1]), float(r[2])) for r in _read(path, CONTINUUM_HEADER)]
-
-
-def read_comparison(path: Path) -> list[ComparisonRow]:
-    rows = []
-    for r in _read(path, COMPARISON_HEADER):
-        rows.append(
-            ComparisonRow(
-                k=int(r[0]),
-                p_k=float(r[1]),
-                classical_steps=float(r[2]),
-                grover_scale=float(r[3]),
-                discrete_peak=None if r[4] == "" else int(r[4]),
-                recip_classical=float(r[5]),
-                recip_grover=float(r[6]),
-                ln_classical=float(r[7]),
-                ln_grover=float(r[8]),
-            )
-        )
-    return rows

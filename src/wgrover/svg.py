@@ -32,17 +32,18 @@ def _num(x: float) -> str:
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     """Roughly `target` round-valued ticks covering [lo, hi]."""
     if hi <= lo:
-        hi = lo + 1.0
+        # past 2^53 a span of 1.0 is lost to rounding
+        hi = lo + max(1.0, math.ulp(lo))
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
+    # a span of a few ulps can leave t + step == t; the count bounds the loop
     ticks = []
-    t = first
-    while t <= hi + step * 1e-9:
+    t = math.ceil(lo / step) * step
+    while t <= hi + step * 1e-9 and len(ticks) <= 2 * target:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
     return ticks
@@ -159,8 +160,8 @@ def bar_plot(
     yhi = float(heights.max()) * 1.05 if len(heights) else 1.0
     xlo, xhi = labels[0] - 0.5, labels[-1] + 0.5
     parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, 0.0, yhi)
-    # labels ascend, so xhi > xlo and this span is the one px divides by
-    width = 0.8 / (xhi - xlo) * PLOT_W
+    # the span px divides by; labels past 2^53 can round to one x
+    width = 0.8 / (xhi - xlo if xhi > xlo else 1.0) * PLOT_W
     ys = py(heights)
     bars = numtext.format_rows(BAR, px(np.asarray(labels) - 0.4), ys, np.full(len(ys), width),
                                MARGIN_T + PLOT_H - ys)

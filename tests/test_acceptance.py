@@ -7,6 +7,7 @@ round(pi/(4 theta) - 1/2) peak formula, finite differences, and a
 40-digit mpmath evaluation of the truncated coherent amplitudes.
 """
 
+import csv
 import filecmp
 import functools
 import math
@@ -15,7 +16,7 @@ import os
 import numpy as np
 from mpmath import mp
 
-from wgrover import analysis, continuum, csvio, grover_core
+from wgrover import analysis, continuum, grover_core
 from wgrover.amplitudes import AmplitudeDistribution, truncated_coherent, uniform
 from wgrover.cli import main
 
@@ -123,8 +124,9 @@ def test_criterion_5_coherent_example(tmp_path):
         "--out", str(tmp_path),
     ])
     assert code == 0
-    rows = csvio.read_distribution(tmp_path / "dist.csv")
-    assert abs(sum(p for _, p in rows) - 1.0) <= 1e-9
+    with open(tmp_path / "dist.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert abs(sum(float(row["p_k"]) for row in rows) - 1.0) <= 1e-9
 
     mp.dps = 40
     lam = mp.mpf(0.8) ** 2

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file artifacts."""
 
+import csv
 import filecmp
 import json
 import math
@@ -27,18 +28,27 @@ def run(*argv):
     return main(list(argv))
 
 
+def read_csv(path, header):
+    """The rows of a written CSV as dicts, read by the stdlib csv module."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == header
+    return rows
+
+
 class TestDistCommand:
     def test_coherent_rows_sum_to_one(self, tmp_path):
         assert run("dist", "--inline", COHERENT08, "--out", str(tmp_path)) == 0
-        rows = csvio.read_distribution(tmp_path / "dist.csv")
+        rows = read_csv(tmp_path / "dist.csv", csvio.DISTRIBUTION_HEADER)
         assert len(rows) == 21
-        assert [k for k, _ in rows] == list(range(1, 22))
-        assert abs(sum(p for _, p in rows) - 1.0) <= 1e-9
+        assert [int(row["k"]) for row in rows] == list(range(1, 22))
+        assert abs(sum(float(row["p_k"]) for row in rows) - 1.0) <= 1e-9
 
     def test_uniform_rows(self, tmp_path):
         assert run("dist", "--inline", UNIFORM20, "--out", str(tmp_path)) == 0
-        rows = csvio.read_distribution(tmp_path / "dist.csv")
-        assert all(p == pytest.approx(0.05, abs=1e-15) for _, p in rows)
+        rows = read_csv(tmp_path / "dist.csv", csvio.DISTRIBUTION_HEADER)
+        assert all(float(row["p_k"]) == pytest.approx(0.05, abs=1e-15) for row in rows)
 
     def test_svg_flag(self, tmp_path):
         run("dist", "--inline", UNIFORM4, "--out", str(tmp_path), "--svg")
@@ -84,13 +94,13 @@ class TestSimulateCommand:
         assert run("simulate", "--inline", UNIFORM20, "--target", "1",
                    "--out", str(tmp_path)) == 0
         assert "r*=3" in capsys.readouterr().out
-        rows = csvio.read_trajectory(tmp_path / "trajectory.csv")
+        rows = read_csv(tmp_path / "trajectory.csv", csvio.TRAJECTORY_HEADER)
         assert len(rows) == 201
-        r, a, b, prob = rows[3]
-        assert r == 3
-        assert a.real == pytest.approx(-0.008, abs=1e-12)
-        assert b.real == pytest.approx(1.0017584539199058, abs=1e-12)
-        assert prob == pytest.approx(0.9999392, abs=1e-7)
+        row = rows[3]
+        assert row["r"] == "3"
+        assert float(row["a_re"]) == pytest.approx(-0.008, abs=1e-12)
+        assert float(row["b_re"]) == pytest.approx(1.0017584539199058, abs=1e-12)
+        assert float(row["success_prob"]) == pytest.approx(0.9999392, abs=1e-7)
 
     def test_one_step_certainty(self, tmp_path, capsys):
         assert run("simulate", "--inline", UNIFORM4, "--target", "1",
@@ -102,9 +112,13 @@ class TestSimulateCommand:
         run("simulate", "--inline", COHERENT08, "--target", "3", "--rmax", "20",
             "--out", str(tmp_path))
         traj = grover_core.iterate(load_spec(json.loads(COHERENT08)), 3, 20)
-        rows = csvio.read_trajectory(tmp_path / "trajectory.csv")
-        for pt, (r, a, b, prob) in zip(traj.points, rows):
-            assert (pt.r, pt.state.a, pt.state.b, pt.success_prob) == (r, a, b, prob)
+        rows = read_csv(tmp_path / "trajectory.csv", csvio.TRAJECTORY_HEADER)
+        assert len(rows) == len(traj.points)
+        for pt, row in zip(traj.points, rows):
+            a = complex(float(row["a_re"]), float(row["a_im"]))
+            b = complex(float(row["b_re"]), float(row["b_im"]))
+            assert (pt.r, pt.state.a, pt.state.b, pt.success_prob) == (
+                int(row["r"]), a, b, float(row["success_prob"]))
 
     def test_missing_target_exits_1(self, tmp_path, capsys):
         assert run("simulate", "--inline", UNIFORM20, "--out", str(tmp_path)) == 1
@@ -128,9 +142,10 @@ class TestContinuumCommand:
 
     def test_curve_samples(self, tmp_path):
         run("continuum", "--inline", UNIFORM20, "--target", "1", "--out", str(tmp_path))
-        rows = csvio.read_continuum(tmp_path / "continuum.csv")
-        assert rows[0] == (0.0, pytest.approx(0.8), pytest.approx(2 / math.sqrt(20)))
-        xs = [r[0] for r in rows]
+        rows = read_csv(tmp_path / "continuum.csv", csvio.CONTINUUM_HEADER)
+        first = tuple(map(float, rows[0].values()))
+        assert first == (0.0, pytest.approx(0.8), pytest.approx(2 / math.sqrt(20)))
+        xs = [float(row["x"]) for row in rows]
         assert xs[1] == pytest.approx(0.01)
         assert xs[-1] == pytest.approx(3 * 14.41461568291336, abs=0.01)
 
@@ -158,12 +173,13 @@ class TestCompareCommand:
 
     def test_csv_round_trip(self, tmp_path):
         run("compare", "--inline", COHERENT08, "--out", str(tmp_path))
-        rows = csvio.read_comparison(tmp_path / "comparison.csv")
+        rows = read_csv(tmp_path / "comparison.csv", csvio.COMPARISON_HEADER)
         assert len(rows) == 21
-        assert rows[0].discrete_peak == 2
-        assert rows[-1].discrete_peak is None
+        assert rows[0]["discrete_peak"] == "2"
+        assert rows[-1]["discrete_peak"] == ""
         for row in rows:
-            assert row.recip_classical * row.classical_steps == pytest.approx(1.0, abs=1e-12)
+            product = float(row["recip_classical"]) * float(row["classical_steps"])
+            assert product == pytest.approx(1.0, abs=1e-12)
 
     def test_svg_outputs(self, tmp_path):
         run("compare", "--inline", COHERENT32, "--out", str(tmp_path), "--svg")
@@ -181,22 +197,22 @@ class TestReproCommand:
     def test_fig3_four_alphas(self, tmp_path):
         assert run("repro", "fig3", "--out", str(tmp_path)) == 0
         for alpha in ("0.8", "1.6", "2.4", "3.2"):
-            rows = csvio.read_distribution(tmp_path / "fig3" / f"alpha_{alpha}.csv")
+            rows = read_csv(tmp_path / "fig3" / f"alpha_{alpha}.csv", csvio.DISTRIBUTION_HEADER)
             assert len(rows) == 21
-            assert abs(sum(p for _, p in rows) - 1.0) <= 1e-9
+            assert abs(sum(float(row["p_k"]) for row in rows) - 1.0) <= 1e-9
 
     def test_fig4_targets_k3(self, tmp_path):
         assert run("repro", "fig4", "--out", str(tmp_path)) == 0
-        rows = csvio.read_trajectory(tmp_path / "fig4" / "trajectory.csv")
-        probs = [prob for _, _, _, prob in rows]
+        rows = read_csv(tmp_path / "fig4" / "trajectory.csv", csvio.TRAJECTORY_HEADER)
+        probs = [float(row["success_prob"]) for row in rows]
         assert probs[3] == pytest.approx(0.9998405317851912, abs=1e-9)
         assert probs[3] >= probs[2] and probs[3] >= probs[4]
 
     def test_fig5_fig6_tables(self, tmp_path):
         assert run("repro", "fig5", "--out", str(tmp_path)) == 0
         assert run("repro", "fig6", "--out", str(tmp_path)) == 0
-        recip = csvio.read_comparison(tmp_path / "fig5" / "alpha_0.8.csv")
-        assert [r.k for r in recip] == list(range(1, 22))
+        recip = read_csv(tmp_path / "fig5" / "alpha_0.8.csv", csvio.COMPARISON_HEADER)
+        assert [int(row["k"]) for row in recip] == list(range(1, 22))
         assert (tmp_path / "fig5" / "alpha_0.8_recip.svg").exists()
         assert (tmp_path / "fig6" / "alpha_0.8_log.svg").exists()
 
@@ -222,12 +238,31 @@ class TestExitCodes:
     def test_unknown_figure_exits_1(self):
         assert run("repro", "fig9") == 1
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("dist", "--target 1"), ("dist", "--rmax 5"), ("continuum", "--rmax 5"),
+         ("compare", "--target 1"), ("compare", "--rmax 5"), ("repro", "--target 1"),
+         ("repro", "--rmax 5"), ("repro", "--svg")],
+    )
+    def test_option_the_command_does_not_read_exits_1(self, tmp_path, capsys, command, flag):
+        if command == "repro":
+            argv = ["repro", "fig2"]
+        else:
+            argv = [command, "--inline", UNIFORM4]
+            if command == "continuum":
+                argv += ["--target", "1"]
+        assert run(*argv, *flag.split(), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"wgrover: validation error: unrecognized arguments: {flag}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_rmax_exits_1(self, tmp_path):
         assert run("simulate", "--inline", UNIFORM4, "--target", "1",
                    "--rmax", "0", "--out", str(tmp_path)) == 1
 
     def test_rmax_above_cap_exits_1(self, tmp_path, capsys):
-        # rejected while loading the config, before iterate allocates anything
+        # rejected before the spec is loaded or iterate allocates anything
         assert run("simulate", "--inline", UNIFORM4, "--target", "1",
                    "--rmax", str(MAX_RMAX + 1), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
@@ -268,8 +303,8 @@ class TestExitCodes:
          ("compare", "comparison.csv", "|P(164)|^2")],
     )
     def test_underflowing_target_exits_1(self, tmp_path, capsys, command, artifact, named):
-        assert run(command, "--inline", COHERENT08_N200, "--target", "170",
-                   "--out", str(tmp_path)) == 1
+        target = [] if command == "compare" else ["--target", "170"]
+        assert run(command, "--inline", COHERENT08_N200, *target, "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"validation error: {named} = 0.0 is degenerate" in err
@@ -286,8 +321,8 @@ class TestExitCodes:
     )
     def test_failed_run_creates_no_directory(self, tmp_path, command, spec, target, code):
         out = tmp_path / "never"
-        assert run(command, "--inline", spec, "--target", target, "--svg",
-                   "--out", str(out)) == code
+        target = [] if command == "compare" else ["--target", target]
+        assert run(command, "--inline", spec, *target, "--svg", "--out", str(out)) == code
         assert not out.exists()
 
     @pytest.mark.parametrize("weight", ["1e-20", "5e-324"], ids=["1e-20", "subnormal"])
@@ -323,10 +358,58 @@ class TestExitCodes:
              "weights-bool", "alpha_re-bool", "alpha_re-string", "alpha_im-string"],
     )
     def test_non_finite_or_fractional_spec_exits_1(self, tmp_path, capsys, command, spec):
-        assert run(command, "--inline", spec, "--target", "1", "--out", str(tmp_path)) == 1
+        target = [] if command == "compare" else ["--target", "1"]
+        assert run(command, "--inline", spec, *target, "--out", str(tmp_path)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "validation error" in captured.err
+
+
+def test_dist_and_compare_agree_on_p_k(tmp_path):
+    # a complex window: |P(k)|^2 by np.abs(a)**2 differed in 12 of these 21 cells
+    spec = '{"kind":"coherent","alpha_re":1.1,"alpha_im":0.9,"q1":1,"n":20}'
+    assert run("dist", "--inline", spec, "--out", str(tmp_path)) == 0
+    assert run("compare", "--inline", spec, "--out", str(tmp_path)) == 0
+    dist = read_csv(tmp_path / "dist.csv", csvio.DISTRIBUTION_HEADER)
+    table = read_csv(tmp_path / "comparison.csv", csvio.COMPARISON_HEADER)
+    assert [(row["k"], row["p_k"]) for row in dist] == [(row["k"], row["p_k"]) for row in table]
+
+
+def test_span_of_a_few_ulps_plots_in_bounded_time(tmp_path):
+    # the y span of these proportions is a few ulps, so a tick step of the same
+    # size no longer moved the tick and the tick loop never ended
+    spec = '{"kind":"weights","weights":[0.5000000000000001,0.4999999999999999]}'
+    env = dict(os.environ, PYTHONPATH=str(Path(wgrover.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgrover.cli", "compare", "--inline", spec, "--svg",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("comparison_recip.svg", "comparison_log.svg"):
+        assert (tmp_path / name).read_text().endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("command", ["dist", "compare"])
+def test_labels_past_2_53_plot(tmp_path, command):
+    # q1 = 2^62: every label rounds to one x, which left the ticks a span of 0
+    spec = json.dumps({"kind": "coherent", "alpha_re": 0.8, "q1": 2**62, "n": 20})
+    assert run(command, "--inline", spec, "--svg", "--out", str(tmp_path)) == 0
+
+
+def test_labels_past_int64_exit_1(tmp_path, capsys):
+    spec = json.dumps({"kind": "coherent", "alpha_re": 0.8, "q1": 2**63 - 20, "n": 20})
+    assert run("dist", "--inline", spec, "--out", str(tmp_path)) == 1
+    assert "must fit in 64 bits" in capsys.readouterr().err
+
+
+def test_overflowing_classical_steps_exit_1(tmp_path, capsys):
+    # 1/|P(3)|^2 overflows a double; the log plot's y range was infinite
+    spec = '{"kind":"weights","weights":[0.5,0.5,1e-311]}'
+    assert run("compare", "--inline", spec, "--svg", "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "1/|P(3)|^2 overflow" in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestOutputDirDefaults:

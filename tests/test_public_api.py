@@ -60,6 +60,15 @@ DELETED = [
     "_check_target_amplitude",
     "_check_nondegenerate",
     "_scale",
+    "RunConfig",
+    "_load_config",
+    "_require_target",
+    "add_common",
+    "read_distribution",
+    "read_trajectory",
+    "read_continuum",
+    "read_comparison",
+    "_read",
 ]
 
 
