@@ -154,8 +154,7 @@ def truncated_coherent(alpha: complex, q1: int, n: int) -> AmplitudeDistribution
     relative to the in-window maximum, then renormalized exactly, so even
     deep Poisson tails keep their correct relative size.
     """
-    _check_coherent_args(alpha, q1, n)
-    lam = abs(alpha) ** 2
+    lam = _check_coherent_args(alpha, q1, n)
     ks = np.arange(q1, q1 + n + 1)
     lgam = np.array([math.lgamma(k + 1) for k in ks])
     # log |P(k)| up to the common normalization constant
@@ -260,14 +259,22 @@ def _size_field(spec: dict) -> int:
     return n
 
 
-def _check_coherent_args(alpha: complex, q1: int, n: int) -> None:
+def _check_coherent_args(alpha: complex, q1: int, n: int) -> float:
+    """|alpha|^2, once the arguments are checked."""
     if not cmath.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
-    if abs(alpha) == 0:
-        raise DomainError("alpha = 0 puts all weight on q = 0; degenerate database")
+    try:
+        lam = abs(alpha) ** 2
+    except OverflowError:
+        lam = math.inf
+    # the amplitudes are built from log |alpha|^2
+    if not 0 < lam < math.inf:
+        raise DomainError(f"|alpha_re + i alpha_im|^2 must be a positive finite double, i.e. "
+                          f"|alpha| from about 2.2e-162 to 1.3e154, got alpha = {alpha!r}")
     if q1 < 0:
         raise DomainError(f"q1 must be a non-negative photon number, got {q1}")
     if q1 + n >= 2**63:
         raise DomainError(f"labels q1..q1+N must fit in 64 bits, got q1 + N = {q1 + n}")
     if n < 2:
         raise DomainError(f"coherent window needs N >= 2, got {n}")
+    return lam

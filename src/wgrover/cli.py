@@ -104,6 +104,14 @@ def _load_dist(args) -> AmplitudeDistribution:
     return load_spec(obj)
 
 
+def _plottable(dist: AmplitudeDistribution, svg_requested: bool) -> AmplitudeDistribution:
+    """dist, unless its labels are to be plotted past 2^53, where doubles merge them."""
+    if svg_requested and dist.labels[-1] > 2**53:
+        raise DomainError(f"--svg needs labels of at most 2^53, got {dist.labels[-1]}; "
+                          "without --svg the CSV holds every label exactly")
+    return dist
+
+
 def _ensure_out(args, *subdirs: str) -> Path:
     path = (args.out or Path(os.environ.get("WGROVER_OUT", "out"))).joinpath(*subdirs)
     path.mkdir(parents=True, exist_ok=True)
@@ -111,7 +119,7 @@ def _ensure_out(args, *subdirs: str) -> Path:
 
 
 def cmd_dist(args) -> int:
-    dist = _load_dist(args)
+    dist = _plottable(_load_dist(args), args.svg)
     out = _ensure_out(args)
     title = "database distribution" if args.svg else None
     _distribution_artifacts(out, "dist", dist, title)
@@ -148,7 +156,7 @@ def cmd_continuum(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    dist = _load_dist(args)
+    dist = _plottable(_load_dist(args), args.svg)
     rows = analysis.comparison_table(dist)
     out = _ensure_out(args)
     csvio.write_comparison(out / "comparison.csv", rows)

@@ -2,18 +2,16 @@
 
 format_rows(row_format, *columns) yields the bytes of `row_format % row` for
 every row of equally long int64/float64 columns.  The conversions are the
-ones the tool writes: `%d` and `%s` of an int, `%.17g` (round-trip-exact
-floats) and `%.2f` (SVG coordinates).  Python's `%` is the exact oracle:
-correctly rounded, ties to even (Gay 1990).  The kernel matches it without
-one `%` call per number:
+ones the CSV files use (`csvio` is the only caller): `%d` and `%s` of an
+int, and `%.17g` for round-trip-exact floats.  Python's `%` is the exact
+oracle: correctly rounded, ties to even (Gay 1990).  The kernel matches it
+without one `%` call per number:
 
 * `%.17g`: with E = floor(log10|x|), the double-double product
   |x| * 10^(16 - E) = p + t uses Dekker's (1971) TwoProduct for
   |x| * hi(10^(16 - E)) and adds |x| * lo(10^(16 - E)).  The 17-digit
   integer p + t is rounded only where the fraction of t lies farther from
   1/2 than 2^-40, far above the product's error (below 1e-14).
-* `%.2f`: p = fl(|x| * 100) rounds to the same integer as the exact
-  product unless p is a half, where TwoProduct's exact error decides.
 * `%d`: the integer itself.
 
 Every cell of a block is laid out in the same seven 8-byte words, its
@@ -37,7 +35,7 @@ import numpy as np
 # which bounds the kernel's temporary arrays at about 1 MB.
 BLOCK_CELLS = 2048
 
-_INT, _G, _F = "ds", ".17g", ".2f"
+_INT, _G = "ds", ".17g"
 
 # A cell's field is seven 8-byte words.  Word 0 ends in the sign and the
 # "0." that opens a %g value below 1; words 1-5 hold twenty digits, four
@@ -54,27 +52,23 @@ _G_FIRST = _NDIG - 17
 _EXP_MIN, _EXP_MAX = -280, 290
 # A fraction of |x| * 10^(16 - E) within this of 1/2 is left to `%`.
 _CERT = 2.0**-40
-# Below this |x| * 100 < 2^51, so halves are multiples of its ulp.
-_F_MAX = 2.0**51 / 100
 _SPLITTER = 134217729.0  # 2^27 + 1 (Veltkamp)
 _INT64_MIN = np.iinfo(np.int64).min
 
 # Layouts of a field, numbered per kind: %g by exponent class (E = -4..16
 # printed fixed, then exponent of two or of three digits) and last nonzero
-# digit; %.2f and %d by first nonzero digit.  A cell's code is
-# 2 * layout + sign.
+# digit; %d by first nonzero digit.  A cell's code is 2 * layout + sign.
 _G_CLASSES, _G_LASTS = 23, _NDIG - _G_FIRST
-_F_BASE = _G_CLASSES * _G_LASTS
-_D_BASE = _F_BASE + _NDIG - 2
+_D_BASE = _G_CLASSES * _G_LASTS
 _LAYOUTS = _D_BASE + _NDIG
 
 
 def format_rows(row_format: str, *columns):
     """Yield the bytes of row_format % row for every row, a block of rows at a time.
 
-    row_format holds literal text and one `%d`, `%s`, `%.17g` or `%.2f` per
-    column.  `%d`/`%s` columns are integers; a `%s` column may also hold
-    other objects (such as "" for an empty cell), whose rows go to `%`.
+    row_format holds literal text and one `%d`, `%s` or `%.17g` per column.
+    `%d`/`%s` columns are integers; a `%s` column may also hold other
+    objects (such as "" for an empty cell), whose rows go to `%`.
     Each block is a bytes-like object.
     """
     plan = _plan(row_format)
@@ -107,7 +101,7 @@ def _plan(row_format: str) -> SimpleNamespace:
     each cell as 8-byte words (tails), its kinds, the rounder and column
     indices per kind present, and per-cell constants as (cells, 1) arrays.
     """
-    parts = re.split(r"%(d|s|\.17g|\.2f)", row_format)
+    parts = re.split(r"%(d|s|\.17g)", row_format)
     literals, kinds = [p.encode() for p in parts[::2]], parts[1::2]
     if not kinds or any(b"%" in text or b"\0" in text for text in literals):
         raise ValueError(f"unsupported row format {row_format!r}")
@@ -121,15 +115,12 @@ def _plan(row_format: str) -> SimpleNamespace:
         words[i, :len(text)] = np.frombuffer(text, np.uint8)
     array = np.array(kinds)
     rounders = [(rounder, (array == kind).nonzero()[0])
-                for kind, rounder in ((_G, _round17), (_F, _round2), (_INT, _integer))
+                for kind, rounder in ((_G, _round17), (_INT, _integer))
                 if kind in kinds]
-    is_g, is_f = array[:, None] == _G, array[:, None] == _F
+    is_g = array[:, None] == _G
     return SimpleNamespace(
         head=literals[0], tails=words.view(np.uint64), kinds=kinds, rounders=rounders,
-        is_g=is_g, has_g=is_g.any(), only_g=is_g.all(),
-        # the first %.2f or %d layout, and the first digit these always print
-        fd_base=np.where(is_f, 2 * _F_BASE, 2 * _D_BASE),
-        fd_cap=np.where(is_f, _NDIG - 3, _NDIG - 1))
+        is_g=is_g, has_g=is_g.any(), only_g=is_g.all())
 
 
 def _column(col, kind):
@@ -168,8 +159,9 @@ def _fill(plan, out: np.ndarray, block) -> np.ndarray:
         code = t.g_code[exp - t.exp_min, np.maximum(last, _G_FIRST) - _G_FIRST]
     if not plan.only_g:
         first = (t.first.take(groups) + t.group_start).min(axis=0)
-        fd = plan.fd_base + 2 * np.minimum(first, plan.fd_cap)
-        code = np.where(plan.is_g, code, fd) if plan.has_g else fd
+        # %d always prints the last digit
+        d = 2 * (_D_BASE + np.minimum(first, _NDIG - 1, dtype=np.int64))
+        code = np.where(plan.is_g, code, d) if plan.has_g else d
     code = code + neg
     words = out.transpose(2, 1, 0)
     words[0] = t.keep[0].take(code)
@@ -273,8 +265,6 @@ def _field(layout: int) -> tuple[int | None, int, int, bool, int]:
     """
     if layout >= _D_BASE:
         return None, layout - _D_BASE, _NDIG - 1, False, 0
-    if layout >= _F_BASE:
-        return _NDIG - 3, layout - _F_BASE, _NDIG - 1, False, 0
     g_class, last = divmod(layout, _G_LASTS)
     last += _G_FIRST
     if g_class >= 21:
@@ -313,17 +303,13 @@ def _split(a):
     return a_hi, a - a_hi
 
 
-def _two_product(a, b, b_hi, b_lo):
-    """(p, e) with p = fl(a * b) and p + e == a * b exactly (Dekker 1971)."""
-    a_hi, a_lo = _split(a)
-    p = a * b
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
 def _scaled(a, exp):
     """|x| * 10^(16 - exp) as p + t: p = fl(|x| * hi), t carries the rest."""
     hi, hi_hi, hi_lo, lo = _pow10_table().take(exp - (_EXP_MIN - 1), axis=1)
-    p, e = _two_product(a, hi, hi_hi, hi_lo)
+    a_hi, a_lo = _split(a)
+    p = a * hi
+    # p + e == a * hi exactly: Dekker's (1971) TwoProduct
+    e = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
     return p, e + a * lo
 
 
@@ -356,22 +342,6 @@ def _round17(x):
         exp += carry
     zero = x == 0.0
     return np.where(zero, 0, mag), np.where(zero, 0, exp), np.signbit(x), ok | zero
-
-
-def _round2(x):
-    """|x| * 100 rounded half to even, no exponent, sign and certified flag of each %.2f value."""
-    a = np.abs(x)
-    ok = a < _F_MAX
-    a = np.where(ok, a, 0.0)
-    p = a * 100.0
-    n = np.rint(p)
-    # p - n is exact: a p that is no half rounds like the exact product,
-    # and on a half TwoProduct's exact error breaks the tie
-    halves = (np.abs(p - n) == 0.5).ravel().nonzero()[0]
-    if len(halves):
-        _, e = _two_product(a.flat[halves], 100.0, 100.0, 0.0)
-        n.flat[halves] = np.where(e == 0, n.flat[halves], np.floor(p.flat[halves]) + (e > 0))
-    return n.astype(np.int64), None, np.signbit(x), ok
 
 
 def _integer(v):

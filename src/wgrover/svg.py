@@ -3,7 +3,8 @@
 Just axes, ticks, series, and a small legend: enough to eyeball a curve
 against a published figure.  Output is a pure function of the data (fixed
 coordinate precision, no ids, no timestamps), so repeated runs produce
-byte-identical files.
+byte-identical files.  A plot holds O(pixels) shapes whatever the data
+size, each coordinate written by Python's `%` as `%.2f`.
 """
 
 from __future__ import annotations
@@ -13,27 +14,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numtext
-
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 16, 34, 46
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R
 PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
+# A line series longer than this is drawn from its M4 aggregate.
+MAX_SERIES_POINTS = 4 * PLOT_W
 POINT = "%.2f,%.2f "
 BAR = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#1f77b4" stroke="black" '
        'stroke-width="0.5"/>\n')
 
 
-def _num(x: float) -> str:
-    return format(x, ".2f")
-
-
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Roughly `target` round-valued ticks covering [lo, hi]."""
-    if hi <= lo:
-        # past 2^53 a span of 1.0 is lost to rounding
-        hi = lo + max(1.0, math.ulp(lo))
+    """Roughly `target` round-valued ticks covering [lo, hi], lo < hi."""
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -80,24 +74,16 @@ def _frame(title: str, xlabel: str, ylabel: str, xlo: float, xhi: float,
     ]
     for t in _nice_ticks(xlo, xlo + xspan):
         x = px(t)
-        parts.append(
-            f'<line x1="{_num(x)}" y1="{MARGIN_T + PLOT_H}" x2="{_num(x)}" '
-            f'y2="{MARGIN_T + PLOT_H + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_num(x)}" y="{MARGIN_T + PLOT_H + 18}" '
-            f'text-anchor="middle">{_tick_label(t)}</text>'
-        )
+        parts += [f'<line x1="{x:.2f}" y1="{MARGIN_T + PLOT_H}" x2="{x:.2f}" '
+                  f'y2="{MARGIN_T + PLOT_H + 5}" stroke="black"/>',
+                  f'<text x="{x:.2f}" y="{MARGIN_T + PLOT_H + 18}" '
+                  f'text-anchor="middle">{_tick_label(t)}</text>']
     for t in _nice_ticks(ylo, ylo + yspan, target=5):
         y = py(t)
-        parts.append(
-            f'<line x1="{MARGIN_L - 5}" y1="{_num(y)}" x2="{MARGIN_L}" '
-            f'y2="{_num(y)}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_L - 8}" y="{_num(y)}" text-anchor="end" '
-            f'dominant-baseline="middle">{_tick_label(t)}</text>'
-        )
+        parts += [f'<line x1="{MARGIN_L - 5}" y1="{y:.2f}" x2="{MARGIN_L}" '
+                  f'y2="{y:.2f}" stroke="black"/>',
+                  f'<text x="{MARGIN_L - 8}" y="{y:.2f}" text-anchor="end" '
+                  f'dominant-baseline="middle">{_tick_label(t)}</text>']
     parts.append(
         f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 8}" text-anchor="middle">{xlabel}</text>'
     )
@@ -106,6 +92,29 @@ def _frame(title: str, xlabel: str, ylabel: str, xlo: float, xhi: float,
         f'transform="rotate(-90 16 {HEIGHT / 2:.0f})">{ylabel}</text>'
     )
     return parts, px, py
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """Index of the first point of each pixel column; x is in pixels and ascends."""
+    cols = np.floor(x)
+    return np.r_[0, np.flatnonzero(cols[1:] != cols[:-1]) + 1]
+
+
+def _m4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mask of the first, last, lowest and highest point of each pixel column of
+    x as written (to 0.01 px).  A line through them rasterizes like one through
+    every point (M4: Jugel et al., "M4: A Visualization-Oriented Time Series
+    Data Aggregation", VLDB 2014).
+    """
+    starts = _columns(np.round(x, 2))
+    keep = np.zeros(len(x), bool)
+    keep[starts] = keep[starts[1:] - 1] = keep[-1] = True
+    sizes = np.diff(starts, append=len(x))
+    for extreme in (np.minimum, np.maximum):
+        # the first point of each column equal to its extreme
+        hits = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), sizes))
+        keep[hits[np.searchsorted(hits, starts)]] = True
+    return keep
 
 
 def line_plot(
@@ -121,28 +130,24 @@ def line_plot(
     """
     series = [(name, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
               for name, xs, ys in series]
-    all_x = np.concatenate([xs for _, xs, _ in series])
-    all_y = np.concatenate([ys for _, _, ys in series])
-    xlo, xhi = float(all_x.min()), float(all_x.max())
-    ylo, yhi = float(all_y.min()), float(all_y.max())
+    xlo = float(min(xs.min() for _, xs, _ in series))
+    xhi = float(max(xs.max() for _, xs, _ in series))
+    ylo = float(min(ys.min() for _, _, ys in series))
+    yhi = float(max(ys.max() for _, _, ys in series))
     ypad = 0.05 * (yhi - ylo if yhi > ylo else 1.0)
     parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, ylo - ypad, yhi + ypad)
-    # all series in one pass; the text of each point ends in its only space
-    text = b"".join(numtext.format_rows(POINT, px(all_x), py(all_y)))
-    starts = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(" ")) + 1
-    bounds = np.concatenate([[0], starts])[np.cumsum([0] + [len(xs) for _, xs, _ in series])]
-    for i, (name, _, _) in enumerate(series):
+    for i, (name, xs, ys) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        pts = text[bounds[i]:bounds[i + 1] - 1].decode("ascii")
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        x, y = px(xs), py(ys)
+        if len(x) > MAX_SERIES_POINTS:
+            keep = _m4(x, y)
+            x, y = x[keep], y[keep]
+        pts = (POINT * len(x) % tuple(np.column_stack([x, y]).ravel().tolist()))[:-1]
         lx, ly = MARGIN_L + PLOT_W - 130, MARGIN_T + 16 + 16 * i
-        parts.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(f'<text x="{lx + 28}" y="{ly + 4}">{name}</text>')
+        parts += [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>',
+                  f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
+                  f'stroke="{color}" stroke-width="1.5"/>',
+                  f'<text x="{lx + 28}" y="{ly + 4}">{name}</text>']
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
@@ -160,11 +165,17 @@ def bar_plot(
     yhi = float(heights.max()) * 1.05 if len(heights) else 1.0
     xlo, xhi = labels[0] - 0.5, labels[-1] + 0.5
     parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, 0.0, yhi)
-    # the span px divides by; labels past 2^53 can round to one x
-    width = 0.8 / (xhi - xlo if xhi > xlo else 1.0) * PLOT_W
+    width = 0.8 / (xhi - xlo) * PLOT_W
+    ks = np.asarray(labels, dtype=float)
+    if len(ks) > PLOT_W:
+        # one bar per pixel column of the bar centres, as tall as its tallest
+        starts = _columns(px(ks))
+        heights = np.maximum.reduceat(heights, starts)
+        xs, width = np.floor(px(ks[starts])), 1.0
+    else:
+        xs = px(ks - 0.4)
     ys = py(heights)
-    bars = numtext.format_rows(BAR, px(np.asarray(labels) - 0.4), ys, np.full(len(ys), width),
-                               MARGIN_T + PLOT_H - ys)
-    parts.append(b"".join(bars)[:-1].decode("ascii"))
+    bars = np.column_stack([xs, ys, np.full(len(ys), width), MARGIN_T + PLOT_H - ys])
+    parts.append((BAR * len(ys) % tuple(bars.ravel().tolist()))[:-1])
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")

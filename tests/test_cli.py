@@ -391,10 +391,37 @@ def test_span_of_a_few_ulps_plots_in_bounded_time(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["dist", "compare"])
-def test_labels_past_2_53_plot(tmp_path, command):
-    # q1 = 2^62: every label rounds to one x, which left the ticks a span of 0
+def test_labels_past_2_53_plot(tmp_path, capsys, command):
+    # q1 = 2^62: every label rounds to one x, so a plot would show nothing
     spec = json.dumps({"kind": "coherent", "alpha_re": 0.8, "q1": 2**62, "n": 20})
-    assert run(command, "--inline", spec, "--svg", "--out", str(tmp_path)) == 0
+    assert run(command, "--inline", spec, "--svg", "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "2^53" in err and "without --svg the CSV" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_labels_up_to_2_53_plot(tmp_path):
+    # 2^53 is the largest label of a plottable window; past it only the CSV is written
+    for q1, code in ((2**53 - 20, 0), (2**53 - 19, 1)):
+        spec = json.dumps({"kind": "coherent", "alpha_re": 0.8, "q1": q1, "n": 20})
+        assert run("dist", "--inline", spec, "--svg", "--out", str(tmp_path / str(q1))) == code
+        assert run("dist", "--inline", spec, "--out", str(tmp_path / "csv")) == 0
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [{"alpha_re": 1e-300}, {"alpha_re": 1e-170}, {"alpha_re": 1e300},
+     {"alpha_re": 1.7e308, "alpha_im": 1.7e308}],
+    ids=["underflow", "square-underflows", "square-overflows", "abs-overflows"],
+)
+def test_coherent_alpha_out_of_range_exits_1(tmp_path, capsys, alpha):
+    # these exited with "math domain error" or "(34, 'Numerical result out of range')"
+    spec = json.dumps({"kind": "coherent", **alpha, "q1": 0, "n": 20})
+    assert run("dist", "--inline", spec, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "|alpha_re + i alpha_im|^2" in err and "2.2e-162 to 1.3e154" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_labels_past_int64_exit_1(tmp_path, capsys):
@@ -426,19 +453,33 @@ class TestOutputDirDefaults:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_longest_run_memory_is_bounded(tmp_path):
-    # --rmax 10^6 on uniform(4) held ~200 MB of per-step Python objects
+@pytest.mark.parametrize(
+    "argv,csv_name,rows,max_mb,svg_name",
+    [
+        # --rmax 10^6 on uniform(4) held ~200 MB of per-step Python objects
+        (["simulate", "--inline", UNIFORM4, "--target", "1", "--rmax", str(MAX_RMAX)],
+         "trajectory.csv", MAX_RMAX + 1, 120, None),
+        # one polyline vertex per step made a 27 MB SVG and a 255 MB peak
+        (["simulate", "--inline", UNIFORM4, "--target", "1", "--rmax", str(MAX_RMAX), "--svg"],
+         "trajectory.csv", MAX_RMAX + 1, 160, "trajectory.svg"),
+        # one bar per label made a 107 MB SVG and a 376 MB peak
+        (["dist", "--inline", json.dumps({"kind": "uniform", "n": MAX_ENTRIES}), "--svg"],
+         "dist.csv", MAX_ENTRIES, 150, "dist.svg"),
+    ],
+    ids=["simulate", "simulate-svg", "dist-svg"],
+)
+def test_longest_run_memory_is_bounded(tmp_path, argv, csv_name, rows, max_mb, svg_name):
     child = ("import resource, sys\n"
              "from wgrover.cli import main\n"
              "code = main(sys.argv[1:])\n"
              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(wgrover.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "simulate", "--inline", UNIFORM4, "--target", "1",
-         "--rmax", str(MAX_RMAX), "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
-    )
+    proc = subprocess.run([sys.executable, "-c", child, *argv, "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
     code, max_rss_kib = proc.stdout.split()[-2:]
     assert code == "0"
-    assert int(max_rss_kib) / 1024 < 120
-    assert sum(1 for _ in open(tmp_path / "trajectory.csv")) == MAX_RMAX + 2
+    assert int(max_rss_kib) / 1024 < max_mb
+    assert sum(1 for _ in open(tmp_path / csv_name)) == rows + 1
+    if svg_name is not None:
+        # a plot holds O(pixels) shapes however long the run
+        assert (tmp_path / svg_name).stat().st_size < 100_000

@@ -191,6 +191,16 @@ class TestIterate:
                 oracle_success_prob(p_abs, pt.r), abs=1e-9
             )
 
+    @pytest.mark.parametrize("proportion", [0.25, 0.4, 1e-3])
+    def test_drift_from_the_closed_form_is_at_most_4_r_eps(self, proportion):
+        # the recurrence drifts by about one rounding per step (worst r eps seen)
+        dist = load_spec({"kind": "weights", "weights": [proportion, 1 - proportion]})
+        traj = iterate(dist, 1, 10**5)
+        r = np.arange(len(traj.prob))
+        closed = np.sin((2 * r + 1) * math.asin(abs(dist.amplitude(1)))) ** 2
+        drift = np.abs(traj.prob - closed)
+        assert (drift <= 4 * np.maximum(r, 1) * np.finfo(float).eps).all()
+
     def test_bad_r_max(self):
         with pytest.raises(DomainError):
             iterate(uniform(4), 1, 0)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wgrover import csvio, grover_core, numtext, svg
+from wgrover import csvio, grover_core, numtext
 from wgrover.amplitudes import truncated_coherent, uniform
 from wgrover.continuum import fit_one_step_solution, period
 
@@ -45,11 +45,6 @@ def test_g17_matches_percent_on_any_float(values):
 @given(st.lists(INT64, min_size=1, max_size=40))
 def test_d_matches_percent_on_int64(values):
     assert_matches("%d;%s\n", np.array(values, dtype=np.int64), np.array(values, dtype=np.int64))
-
-
-@given(st.lists(st.floats(), min_size=1, max_size=40))
-def test_f2_matches_percent_on_any_float(values):
-    assert_matches("%.2f,%.2f ", np.array(values), np.array(values[::-1]))
 
 
 @given(st.lists(st.tuples(INT64, st.floats(), st.floats(allow_nan=False)), min_size=1, max_size=30))
@@ -97,28 +92,16 @@ def test_g17_round_up_carries_into_the_exponent():
     assert kernel("%.17g\n", np.array([1e-243])) == b"1e-243\n"
 
 
-def test_f2_hundredths_plus_minus_one_ulp():
-    hundredths = np.arange(-20000, 20001) / 200.0
-    values = np.concatenate([hundredths, np.nextafter(hundredths, np.inf),
-                             np.nextafter(hundredths, -np.inf)])
-    assert_matches("%.2f\n", values)
-
-
-def test_f2_small_negative_keeps_its_sign():
-    assert kernel("%.2f\n", np.array([-0.001, -0.0, 0.005, 0.015, 0.125])) == (
-        b"-0.00\n-0.00\n0.01\n0.01\n0.12\n"
-    )
-
-
 def test_literals_and_blocks(monkeypatch):
     monkeypatch.setattr(numtext, "BLOCK_CELLS", 7)
     x = np.linspace(-3.0, 700.0, 101)
-    assert_matches(svg.BAR, x, x[::-1], np.full(101, 4.25), x * 3)
+    assert_matches('<p k="%d" x="%.17g">%.17g</p>\n', np.arange(101) - 50, x, x[::-1] / 7)
     assert_matches("%s", np.array(["", 5, -7, "", 0], dtype=object))
 
 
 def test_unsupported_formats_raise():
-    for row_format in ("%r\n", "%.3f\n", "no conversion", "%d%%\n"):
+    # %.2f is left to Python's %: plots hold a few thousand coordinates
+    for row_format in ("%r\n", "%.2f\n", "%.3f\n", "no conversion", "%d%%\n"):
         with pytest.raises(ValueError):
             kernel(row_format, np.arange(3))
     with pytest.raises(ValueError, match="differ in length"):
