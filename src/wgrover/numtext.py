@@ -1,26 +1,28 @@
 """Rows of numbers as text, byte-exact with Python's `%`, a block at a time.
 
 format_rows(row_format, *columns) yields the bytes of `row_format % row` for
-every row of equally long int64/float64 columns.  The conversions are the
-ones the CSV files use (`csvio` is the only caller): `%d` and `%s` of an
-int, and `%.17g` for round-trip-exact floats.  Python's `%` is the exact
-oracle: correctly rounded, ties to even (Gay 1990).  The kernel matches it
-without one `%` call per number:
+every row of equally long columns, for the conversions the CSV files use
+(`csvio` is the only caller): `%d` and `%s` of an int, and `%.17g` for
+round-trip-exact floats.  Python's `%` is the exact oracle: correctly
+rounded, ties to even (Gay 1990).  The kernel converts every cell as a
+double, with one rounder and without one `%` call per number:
 
 * `%.17g`: with E = floor(log10|x|), the double-double product
   |x| * 10^(16 - E) = p + t uses Dekker's (1971) TwoProduct for
   |x| * hi(10^(16 - E)) and adds |x| * lo(10^(16 - E)).  The 17-digit
   integer p + t is rounded only where the fraction of t lies farther from
   1/2 than 2^-40, far above the product's error (below 1e-14).
-* `%d`: the integer itself.
+* An integer v with |v| <= 2^53 is its exact double, whose `%.17g` text is
+  its `%d` text (E <= 15, so v * 10^(16 - E) is exact).  Any other `%d`/`%s`
+  cell (an int past 2^53, a bool, an object such as "") becomes NaN.
 
 Every cell of a block is laid out in the same seven 8-byte words, its
 characters masked by the cell's layout, and one translate deletes the
 masked bytes, so a block costs a constant number of numpy calls.  A row
 holding a value the kernel cannot certify (an exact decimal tie such as
-2^-25, a non-finite value, a value outside the power table's exponent
-range, or a cell that is not a number) is written by `row_format % row`
-instead, that row alone.
+2^-25, a NaN or infinity, or a value outside the power table's exponent
+range) is written by `row_format % row` from its original cells instead,
+that row alone.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import numpy as np
 # Cells formatted per block: BLOCK_CELLS // (cells per row) rows at a time,
 # which bounds the kernel's temporary arrays at about 1 MB.
 BLOCK_CELLS = 2048
-
-_INT, _G = "ds", ".17g"
 
 # A cell's field is seven 8-byte words.  Word 0 ends in the sign and the
 # "0." that opens a %g value below 1; words 1-5 hold twenty digits, four
@@ -53,40 +53,37 @@ _EXP_MIN, _EXP_MAX = -280, 290
 # A fraction of |x| * 10^(16 - E) within this of 1/2 is left to `%`.
 _CERT = 2.0**-40
 _SPLITTER = 134217729.0  # 2^27 + 1 (Veltkamp)
-_INT64_MIN = np.iinfo(np.int64).min
+# Every integer up to 2^53 in magnitude is a double.
+_EXACT = 2**53
 
-# Layouts of a field, numbered per kind: %g by exponent class (E = -4..16
-# printed fixed, then exponent of two or of three digits) and last nonzero
-# digit; %d by first nonzero digit.  A cell's code is 2 * layout + sign.
+# Layouts of a field: by exponent class (E = -4..16 printed fixed, then
+# exponent of two or of three digits) and last nonzero digit.  A cell's
+# code is 2 * layout + sign.
 _G_CLASSES, _G_LASTS = 23, _NDIG - _G_FIRST
-_D_BASE = _G_CLASSES * _G_LASTS
-_LAYOUTS = _D_BASE + _NDIG
+_LAYOUTS = _G_CLASSES * _G_LASTS
 
 
 def format_rows(row_format: str, *columns):
     """Yield the bytes of row_format % row for every row, a block of rows at a time.
 
     row_format holds literal text and one `%d`, `%s` or `%.17g` per column.
-    `%d`/`%s` columns are integers; a `%s` column may also hold other
-    objects (such as "" for an empty cell), whose rows go to `%`.
-    Each block is a bytes-like object.
+    Every cell is converted as a double: a `%d`/`%s` cell that is not an int
+    within 2^53 (such as "" for an empty cell) becomes NaN, so its row goes
+    to `%`.  Each block is a bytes-like object.
     """
     plan = _plan(row_format)
     if len(columns) != len(plan.kinds):
         raise ValueError(f"{row_format!r} takes {len(plan.kinds)} columns, got {len(columns)}")
-    cols, forced = zip(*map(_column, columns, plan.kinds))
+    cols = list(map(_column, columns, plan.kinds))
     n_rows = len(cols[0])
     if any(len(c) != n_rows for c in cols):
         raise ValueError("columns differ in length")
-    forced = [f for f in forced if f is not None]
     step = max(1, BLOCK_CELLS // len(cols))
     out = np.zeros((min(n_rows, step), len(cols), _WORDS + plan.tails.shape[1]), np.uint64)
     out[..., _WORDS:] = plan.tails
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
-        fallback = ~_fill(plan, out[:hi - lo], [c[lo:hi] for c in cols]).all(axis=0)
-        for f in forced:
-            fallback |= f[lo:hi]
+        fallback = ~_fill(out[:hi - lo], [c[lo:hi] for c in cols]).all(axis=0)
         yield _emit(plan, out[:hi - lo], fallback, row_format, columns, lo)
 
 
@@ -98,14 +95,12 @@ def _format_row(row_format: str, row: tuple) -> bytes:
 @cache
 def _plan(row_format: str) -> SimpleNamespace:
     """What a row format fixes: its opening literal (head), the literal after
-    each cell as 8-byte words (tails), its kinds, the rounder and column
-    indices per kind present, and per-cell constants as (cells, 1) arrays.
+    each cell as 8-byte words (tails) and its conversions (kinds).
     """
     parts = re.split(r"%(d|s|\.17g)", row_format)
     literals, kinds = [p.encode() for p in parts[::2]], parts[1::2]
     if not kinds or any(b"%" in text or b"\0" in text for text in literals):
         raise ValueError(f"unsupported row format {row_format!r}")
-    kinds = [_INT if k in "ds" else k for k in kinds]
     # The last cell's literal is the closing one followed by the opening one,
     # so a block's text is the opening literal, the nonzero bytes of the
     # words, less the opening literal at the end.
@@ -113,65 +108,48 @@ def _plan(row_format: str) -> SimpleNamespace:
     words = np.zeros((len(kinds), -(-max(map(len, tails)) // 8) * 8), np.uint8)
     for i, text in enumerate(tails):
         words[i, :len(text)] = np.frombuffer(text, np.uint8)
-    array = np.array(kinds)
-    rounders = [(rounder, (array == kind).nonzero()[0])
-                for kind, rounder in ((_G, _round17), (_INT, _integer))
-                if kind in kinds]
-    is_g = array[:, None] == _G
-    return SimpleNamespace(
-        head=literals[0], tails=words.view(np.uint64), kinds=kinds, rounders=rounders,
-        is_g=is_g, has_g=is_g.any(), only_g=is_g.all())
+    return SimpleNamespace(head=literals[0], tails=words.view(np.uint64), kinds=kinds)
 
 
-def _column(col, kind):
-    """(values as int64 or float64, rows forced to `%` or None)."""
-    if kind != _INT:
-        return np.asarray(col, dtype=np.float64), None
+def _column(col, kind) -> np.ndarray:
+    """The column as float64; a `%d`/`%s` cell that is no int within 2^53 is NaN."""
+    if kind == ".17g":
+        return np.asarray(col, dtype=np.float64)
     if isinstance(col, range):
-        return np.arange(col.start, col.stop, col.step, dtype=np.int64), None
+        if not col or max(abs(col[0]), abs(col[-1]), abs(col[-1] - col[0])) <= _EXACT:
+            # start + i * step: every term is an integer within 2^53, so exact
+            values = np.arange(len(col), dtype=np.float64)
+            values *= col.step
+            values += col.start
+            return values
+        # np.arange sizes a range by float division, which can drop its end
+        col = np.fromiter(col, np.int64, len(col))
     arr = np.asarray(col)
-    if arr.dtype != object:
-        return arr.astype(np.int64, copy=False), None
-    other = np.fromiter((type(v) is not int for v in arr), bool, len(arr))
-    return np.where(other, 0, arr).astype(np.int64), other
+    if arr.dtype.kind in "iu":
+        values = arr.astype(np.float64)
+        values[(arr < -_EXACT) | (arr > _EXACT)] = np.nan
+        return values
+    return np.array([float(v) if type(v) is int and abs(v) <= _EXACT else np.nan for v in arr])
 
 
-def _fill(plan, out: np.ndarray, block) -> np.ndarray:
+def _fill(out: np.ndarray, block) -> np.ndarray:
     """Write the fields of one block of column slices into out; returns the certified cells.
 
     Per-cell arrays are (cells, rows): one row per column of the block.
     """
-    if len(plan.rounders) == 1:
-        mag, exp, neg, ok = plan.rounders[0][0](np.array(block))
-    else:
-        shape = (len(block), len(block[0]))
-        mag, exp = np.empty(shape, np.int64), np.zeros(shape, np.int64)
-        neg, ok = np.empty(shape, bool), np.empty(shape, bool)
-        for rounder, idx in plan.rounders:
-            m, e, s, k = rounder(np.array([block[i] for i in idx]))
-            mag[idx], neg[idx], ok[idx] = m, s, k
-            if e is not None:
-                exp[idx] = e
+    mag, exp, neg, ok = _round17(np.array(block))
     t = _tables()
     groups = _digit_groups(mag)
-    if plan.has_g:
-        last = (t.last.take(groups) + t.group_start).max(axis=0)
-        code = t.g_code[exp - t.exp_min, np.maximum(last, _G_FIRST) - _G_FIRST]
-    if not plan.only_g:
-        first = (t.first.take(groups) + t.group_start).min(axis=0)
-        # %d always prints the last digit
-        d = 2 * (_D_BASE + np.minimum(first, _NDIG - 1, dtype=np.int64))
-        code = np.where(plan.is_g, code, d) if plan.has_g else d
-    code = code + neg
+    last = (t.last.take(groups) + t.group_start).max(axis=0)
+    code = t.g_code[exp - t.exp_min, np.maximum(last, _G_FIRST) - _G_FIRST] + neg
     words = out.transpose(2, 1, 0)
     words[0] = t.keep[0].take(code)
     digits = t.digits.take(groups)
     digits &= t.keep[1:6].take(code, axis=1)
     words[1:6] = digits
-    if plan.has_g:
-        exps = t.exp.take(exp - t.exp_min)
-        exps &= t.keep[6].take(code)
-        words[6] = exps
+    exps = t.exp.take(exp - t.exp_min)
+    exps &= t.keep[6].take(code)
+    words[6] = exps
     return ok
 
 
@@ -214,17 +192,16 @@ def _tables() -> SimpleNamespace:
     """Lookup tables, built on first use.
 
     digits: per group 0..9999, its four digits each followed by "." (uint64);
-    first, last: its first and last nonzero digit, 100 and -100 for none;
+    last: its last nonzero digit, -100 for none;
     group_start: (5, 1, 1), the index of each group's first digit;
     exp: "e", sign and three digits of each exponent from exp_min;
-    g_code: (exponent from exp_min, last digit - 3) -> 2 * %g layout;
+    g_code: (exponent from exp_min, last digit - 3) -> 2 * layout;
     keep: (words, codes), the bytes a code prints as 0xff (word 0 as its
     characters).
     """
     n = np.arange(10_000)
     digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
     nonzero = digits != 0
-    first = np.where(n > 0, nonzero.argmax(axis=1), 100).astype(np.int8)
     last = np.where(n > 0, 3 - nonzero[:, ::-1].argmax(axis=1), -100).astype(np.int8)
     dotted = np.full((10_000, 8), ord("."), np.uint8)
     dotted[:, ::2] = digits + ord("0")
@@ -247,7 +224,7 @@ def _tables() -> SimpleNamespace:
         slots[:, _EXP:_EXP + 5] = 255 * np.array([exp_digits > 0] * 2 + [exp_digits == 3]
                                                  + [exp_digits > 0] * 2)
     tables = SimpleNamespace(
-        digits=dotted.view(np.uint64).ravel(), first=first, last=last,
+        digits=dotted.view(np.uint64).ravel(), last=last,
         group_start=np.arange(0, _NDIG, 4, dtype=np.int8).reshape(5, 1, 1),
         exp=exp.view(np.uint64).ravel(), exp_min=_EXP_MIN - 1, g_code=g_code,
         keep=keep.reshape(2 * _LAYOUTS, 8 * _WORDS).view(np.uint64).T.copy())
@@ -263,8 +240,6 @@ def _field(layout: int) -> tuple[int | None, int, int, bool, int]:
     Digits lo..hi of the twenty are printed, with a point after digit q
     unless q is None.
     """
-    if layout >= _D_BASE:
-        return None, layout - _D_BASE, _NDIG - 1, False, 0
     g_class, last = divmod(layout, _G_LASTS)
     last += _G_FIRST
     if g_class >= 21:
@@ -343,8 +318,3 @@ def _round17(x):
     zero = x == 0.0
     return np.where(zero, 0, mag), np.where(zero, 0, exp), np.signbit(x), ok | zero
 
-
-def _integer(v):
-    """|v|, no exponent, sign and flag of each %d value; INT64_MIN has no |v|."""
-    ok = v != _INT64_MIN
-    return np.abs(np.where(ok, v, 0)), None, v < 0, ok

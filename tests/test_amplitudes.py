@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from wgrover import amplitudes
 from wgrover.amplitudes import (
@@ -147,6 +148,22 @@ class TestTruncatedCoherent:
         dist = truncated_coherent(math.sqrt(800.0), 790, 20)
         mags = np.abs(dist.amplitudes)
         assert mags.max() / mags.min() < 1.05
+
+    @pytest.mark.parametrize("q1", [0, 100, 1000, 10_000])
+    @pytest.mark.parametrize("alpha", [0.8, 3.2, 100.0])
+    def test_deep_tails_against_mpmath_poisson_window(self, alpha, q1):
+        # |P(k)|^2 is lam^k / k! renormalized over the window; the float
+        # log-magnitudes k ln(lam) and lgamma(k + 1) carry a relative error
+        # of a few eps each, so the bound scales with their size.
+        labels = range(q1, q1 + 21)
+        got = truncated_coherent(alpha, q1, 20).proportions()
+        with mp.workdps(50):
+            lam = mp.mpf(alpha) ** 2
+            weights = [lam**k / mp.factorial(k) for k in labels]
+            total = mp.fsum(weights)
+            rel = [abs(mp.mpf(g) / (w / total) - 1) for g, w in zip(got.tolist(), weights)]
+        scale = max(abs(k * math.log(alpha**2)) + math.lgamma(k + 1) for k in labels)
+        assert float(max(rel)) <= 4 * np.finfo(float).eps * scale
 
 
 class TestFromWeights:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wgrover import csvio, grover_core, numtext
+from wgrover import analysis, csvio, grover_core, numtext
 from wgrover.amplitudes import truncated_coherent, uniform
 from wgrover.continuum import fit_one_step_solution, period
 
@@ -129,9 +129,33 @@ def test_real_trajectory_and_continuum_need_no_fallback(tmp_path, fallback_rows)
                                      x_max=3.0 * period(p_k))
     assert len(xs) > 1000
     assert fallback_rows == []
+    # a peak past the budget is an empty `%s` cell, the only row left to `%`
+    dist = truncated_coherent(0.8, 1, 20)
+    csvio.write_distribution(tmp_path / "dist.csv", dist.labels, dist.proportions())
+    assert fallback_rows == []
+    csvio.write_comparison(tmp_path / "comparison.csv", analysis.comparison_table(dist))
+    assert [row[0] for row in fallback_rows] == list(range(12, 22))
+    assert all(row[4] == "" for row in fallback_rows)
 
 
 def test_ties_and_non_finite_values_take_the_fallback(fallback_rows):
     values = np.array([0.5, 2.0**-25, math.nan, 0.25, math.inf, 1e-310])
     assert kernel("%d,%.17g\n", np.arange(6), values) == oracle("%d,%.17g\n", np.arange(6), values)
     assert [row[0] for row in fallback_rows] == [1, 2, 4, 5]
+
+
+def test_integers_within_2_53_are_exact_and_only_other_cells_fall_back(fallback_rows):
+    exact = [0, 1, -1, 2**53 - 1, 1 - 2**53, 2**53, -(2**53)]
+    beyond = [2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]
+    ints = np.array(exact + beyond, dtype=np.int64)
+    assert kernel("%d,%s\n", ints, ints) == oracle("%d,%s\n", ints, ints)
+    assert [row[0] for row in fallback_rows] == beyond
+    fallback_rows.clear()
+    # ranges: one crossing 2^53, one whose span passes 2^53 with no value past it
+    for labels in (range(2**53 - 2, 2**53 + 2), range(-(2**53), 2**53, 6004799503160661)):
+        assert kernel("%d,%s\n", labels, labels) == oracle("%d,%s\n", labels, labels)
+    assert [row[0] for row in fallback_rows] == [2**53 + 1]
+    fallback_rows.clear()
+    cells = np.array([7, "", -3, True, 2**53], dtype=object)
+    assert kernel("%d,%s\n", range(5), cells) == oracle("%d,%s\n", range(5), cells)
+    assert [row[0] for row in fallback_rows] == [1, 3]
