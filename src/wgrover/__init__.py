@@ -17,17 +17,13 @@ from .analysis import (
     comparison_table,
     global_speedup,
     local_failures,
-    local_speedup,
 )
 from .continuum import (
     ContinuumSolution,
-    DiscriminantClass,
-    classify,
     delta_tilde,
     eval_fa,
     eval_fb,
     fit_one_step_solution,
-    fit_solution,
     period,
     predicted_peak_step,
 )
@@ -50,7 +46,6 @@ __all__ = [
     "ComparisonRow",
     "SpeedupVerdict",
     "ContinuumSolution",
-    "DiscriminantClass",
     "Trajectory",
     "TrajectoryPoint",
     "TwoDState",
@@ -69,14 +64,11 @@ __all__ = [
     "dense_apply_G",
     "project_onto_subspace",
     "delta_tilde",
-    "classify",
-    "fit_solution",
     "fit_one_step_solution",
     "eval_fa",
     "eval_fb",
     "period",
     "predicted_peak_step",
-    "local_speedup",
     "local_failures",
     "global_speedup",
     "comparison_table",

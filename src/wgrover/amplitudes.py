@@ -32,11 +32,11 @@ MAX_ENTRIES = 10**6
 class AmplitudeDistribution:
     """Complex amplitudes P(n) over consecutive ascending integer labels.
 
-    labels is stored as a range with step 1; a range input with step 1 is
-    kept as-is, any other iterable is checked once to be consecutive
-    ascending integers.  Invariants checked at construction: at least two
-    entries, finite amplitudes with unit total probability (within 1e-12).
-    Instances are immutable; the amplitude array is marked read-only.
+    labels is a range with step 1 inside the int64 range [-2^63, 2^63),
+    where the CSV writers hold them.  Invariants checked at construction:
+    at least two entries, finite amplitudes with unit total probability
+    (within 1e-12).  Instances are immutable; the amplitude array is
+    marked read-only.
     """
 
     labels: range
@@ -45,13 +45,17 @@ class AmplitudeDistribution:
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "labels", _label_range(self.labels))
-        if len(self.labels) < 2:
+        labels = self.labels
+        if not (isinstance(labels, range) and labels.step == 1):
+            raise DomainError("labels must be a range with step 1")
+        if not (-2**63 <= labels.start and labels.stop <= 2**63):
+            raise DomainError(f"labels must lie in [-2^63, 2^63), got {labels!r}")
+        if len(labels) < 2:
             raise DomainError(
-                f"a database needs at least 2 entries, got {len(self.labels)} "
+                f"a database needs at least 2 entries, got {len(labels)} "
                 "(a single entry is found in one step and is excluded)"
             )
-        if amps.ndim != 1 or len(self.labels) != amps.shape[0]:
+        if amps.ndim != 1 or len(labels) != amps.shape[0]:
             raise DomainError("labels and amplitudes must be 1-d and equally long")
         total = float(np.sum(np.abs(amps) ** 2))
         # a NaN or infinite amplitude makes the sum NaN or infinite
@@ -108,25 +112,6 @@ def target_proportions(mag, labels=None):
             "the target needs 0 < |P(k)|^2 < 1"
         )
     return props
-
-
-def _label_range(labels) -> range:
-    """labels as a range with step 1; raises unless consecutive ascending integers."""
-    if isinstance(labels, range) and labels.step == 1:
-        return labels
-    try:
-        ints = [operator.index(label) for label in labels]
-    except TypeError:
-        raise DomainError("labels must be integers") from None
-    first = ints[0] if ints else 0
-    span = range(first, first + len(ints))
-    for i, (label, want) in enumerate(zip(ints, span)):
-        if label != want:
-            raise DomainError(
-                f"labels must be consecutive ascending integers: label {label} "
-                f"at position {i}, expected {want}"
-            )
-    return span
 
 
 def uniform(n: int) -> AmplitudeDistribution:

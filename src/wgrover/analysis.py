@@ -63,13 +63,6 @@ class SpeedupVerdict:
     min_classical_steps: float
 
 
-def local_speedup(dist: AmplitudeDistribution, k: int) -> bool:
-    """Does Grover beat classical search for this one target?"""
-    p_k = dist.amplitude(k)
-    prop = float(target_proportions(abs(p_k), (k,)))
-    return 1.0 / delta_tilde(p_k) < 1.0 / prop
-
-
 def _label_metrics(dist: AmplitudeDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|P(k)|, |P(k)|^2 and delta_tilde(k) for every label, in label order.
 
@@ -96,21 +89,19 @@ def global_speedup(dist: AmplitudeDistribution) -> SpeedupVerdict:
     )
 
 
-def comparison_table(
-    dist: AmplitudeDistribution, peak_budget: int = DEFAULT_PEAK_BUDGET
-) -> list[ComparisonRow]:
+def comparison_table(dist: AmplitudeDistribution) -> list[ComparisonRow]:
     """One row per label with classical and Grover step metrics, in one pass.
 
     discrete_peak is the first peak of the exact recurrence, the integer
     nearest the first crest x* of sin^2((2r + 1) asin|P(k)|)
-    (grover_core.first_peaks); labels with x* + 2 > peak_budget get None.
+    (grover_core.first_peaks); labels with x* + 2 > DEFAULT_PEAK_BUDGET get None.
     The log columns use math.log, since np.log differs from it in the last
     bit on some inputs.  A |P(k)|^2 below about 5.6e-309, whose classical
     step count 1/|P(k)|^2 overflows, raises DomainError.
     """
     mag, props, dts = _label_metrics(dist)
     crests = grover_core.first_crests(mag)
-    filled = crests + 2 <= peak_budget
+    filled = crests + 2 <= DEFAULT_PEAK_BUDGET
     peaks = np.full(len(props), None, dtype=object)
     peaks[filled] = grover_core.first_peaks(crests[filled]).astype(np.int64)
     with np.errstate(over="ignore"):

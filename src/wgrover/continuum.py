@@ -17,9 +17,10 @@ pair (a_r, b_r) is phase-rotated so that the system above becomes exactly
 real (b replaced by b conj(P)/|P|); everything here operates on that real
 convention.
 
-The continuum clock starts one iteration in, at f_a(0) = a_1 and
-f_b(0) = b_1, so continuum coordinate x maps to discrete iteration
-r = x + 1; predicted_peak_step applies that offset.
+The continuum clock starts one iteration in, at f_a(0) = a_1 = 1 - 4|P|^2
+and f_b(0) = b_1 = 2P (fit_one_step_solution), so continuum coordinate x
+maps to discrete iteration r = x + 1; predicted_peak_step applies that
+offset.
 """
 
 from __future__ import annotations
@@ -34,21 +35,12 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
-class DiscriminantClass:
-    """Discriminant and characteristic roots of the second-order equation."""
-
-    delta: float
-    q1: complex
-    q2: complex
-
-
-@dataclass(frozen=True)
 class ContinuumSolution:
     """Fitted damped oscillation for one target amplitude.
 
     gamma = -2|P|^2 is the damping rate per step, beta = 2 dt the angular
-    frequency; c1 and c2 come from the initial conditions.  Only the
-    oscillatory branch ever instantiates this type.
+    frequency; fit_one_step_solution fits c1 and c2 to f_a(0) = a_1,
+    f_b(0) = b_1.  Only the oscillatory branch ever instantiates this type.
     """
 
     p_k: complex
@@ -80,41 +72,21 @@ def period(p_k: complex) -> float:
     return math.pi / delta_tilde(p_k)
 
 
-def classify(p_k: complex) -> DiscriminantClass:
-    """Discriminant and the complex-conjugate roots -2|P|^2 +- 2i dt.
+def fit_one_step_solution(p_k: complex) -> ContinuumSolution:
+    """Fit C1, C2 to the after-one-application values f_a(0) = a_1, f_b(0) = b_1.
 
-    Every non-degenerate target (0 < |P|^2 < 1) has Delta < 0, the
-    oscillatory branch; any other target raises DomainError.
-    """
-    mag2 = float(target_proportions(abs(p_k)))
-    delta = 16.0 * mag2**2 - 16.0 * mag2
-    root = complex(0.0, math.sqrt(-delta))
-    q1 = (-4.0 * mag2 + root) / 2.0
-    q2 = (-4.0 * mag2 - root) / 2.0
-    return DiscriminantClass(delta=delta, q1=q1, q2=q2)
-
-
-def fit_solution(p_k: complex, fa0: float, fb0: complex) -> ContinuumSolution:
-    """Fit C1, C2 to initial values f_a(0), f_b(0).
-
-    C1 = f_a(0) directly; C2 follows from the derivative constraint
-    f_a'(0) = -4 f_a(0)|P|^2 - 2 Re(P* f_b(0)), the real part implementing
-    the phase-rotated convention for complex amplitudes.
+    C1 = a_1 = 1 - 4|P|^2; C2 follows from the derivative constraint
+    f_a'(0) = -4 f_a(0)|P|^2 - 2 Re(P* f_b(0)) with b_1 = 2P, the real part
+    implementing the phase-rotated convention for complex amplitudes.
     """
     beta = 2.0 * delta_tilde(p_k)
     mag2 = abs(p_k) ** 2
     gamma = -2.0 * mag2
-    c1 = float(fa0)
-    fa_prime0 = -4.0 * c1 * mag2 - 2.0 * (complex(p_k).conjugate() * complex(fb0)).real
+    c1 = float(1.0 - 4.0 * np.float_power(abs(p_k), 2))
+    fb0 = 2.0 * complex(p_k)
+    fa_prime0 = -4.0 * c1 * mag2 - 2.0 * (complex(p_k).conjugate() * fb0).real
     c2 = (fa_prime0 + 2.0 * mag2 * c1) / beta
     return ContinuumSolution(p_k=complex(p_k), gamma=gamma, beta=beta, c1=c1, c2=c2)
-
-
-def fit_one_step_solution(p_k: complex) -> ContinuumSolution:
-    """Fit with the after-one-application values f_a(0) = a_1 = 1 - 4|P|^2, f_b(0) = b_1 = 2P."""
-    # float_power squares a huge |P| to inf, where ** raises OverflowError;
-    # fit_solution rejects either way
-    return fit_solution(p_k, 1.0 - 4.0 * np.float_power(abs(p_k), 2), 2.0 * complex(p_k))
 
 
 def _libm_exp(values: np.ndarray) -> np.ndarray:

@@ -67,8 +67,6 @@ class Trajectory:
     (1, 0) with probability |P(k)|^2.  The arrays are read-only.
     """
 
-    target: int
-    p_k: complex
     a: np.ndarray
     b: np.ndarray
     prob: np.ndarray
@@ -152,8 +150,7 @@ def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     """
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
-    p_k = dist.amplitude(k)
-    p = complex(p_k)
+    p = dist.amplitude(k)
     factor = 1.0 - 4.0 * float(target_proportions(abs(p), (k,)))
     two_pc, two_p = 2.0 * p.conjugate(), 2.0 * p
     a_arr = np.empty(r_max + 1, np.complex128)
@@ -186,7 +183,7 @@ def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     np.clip(prob, 0.0, 1.0, out=prob)
     for arr in (a_arr, b_arr, prob):
         arr.setflags(write=False)
-    return Trajectory(target=k, p_k=p_k, a=a_arr, b=b_arr, prob=prob)
+    return Trajectory(a=a_arr, b=b_arr, prob=prob)
 
 
 def first_peak(traj: Trajectory) -> tuple[int, float]:

@@ -39,7 +39,7 @@ def report(num: int, name: str):
 
 def two_label_dist(p: float) -> AmplitudeDistribution:
     amps = np.array([p, math.sqrt(1 - p * p)], dtype=np.complex128)
-    return AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+    return AmplitudeDistribution(labels=range(1, 3), amplitudes=amps)
 
 
 @report(1, "unstructured N=20 peak")
@@ -76,7 +76,7 @@ def test_criterion_3_recurrence_oracle_equivalence():
         n = int(rng.integers(2, 65))
         amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         amps /= np.linalg.norm(amps)
-        dist = AmplitudeDistribution(labels=tuple(range(1, n + 1)), amplitudes=amps)
+        dist = AmplitudeDistribution(labels=range(1, n + 1), amplitudes=amps)
         candidates = [k for k in dist.labels if 1e-3 < abs(dist.amplitude(k)) < 0.999]
         k = int(rng.choice(candidates))
         state = np.asarray(dist.amplitudes).copy()
@@ -162,7 +162,7 @@ def test_criterion_7_threshold_property():
     threshold = 1 / math.sqrt(2)
     for p in np.arange(0.01, 1.0, 0.01):
         p = float(p)
-        verdict = analysis.local_speedup(two_label_dist(p), 1)
+        verdict = 1 not in analysis.local_failures(two_label_dist(p))
         assert verdict == (p < threshold), f"p={p}"
         if p < 0.5:
             assert verdict is True

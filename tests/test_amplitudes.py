@@ -1,6 +1,7 @@
 """Tests for distribution construction, normalization, and queries."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wgrover.amplitudes import (
     truncated_coherent,
     uniform,
 )
+from wgrover.csvio import write_distribution
 from wgrover.errors import DomainError, LabelNotFoundError
 
 
@@ -250,33 +252,44 @@ class TestInvariants:
                              ids=["scalar", "row", "matrix"])
     def test_amplitudes_must_be_one_dimensional(self, amps):
         with pytest.raises(DomainError, match="1-d"):
-            AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+            AmplitudeDistribution(labels=range(1, 3), amplitudes=amps)
 
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(DomainError):
-            AmplitudeDistribution(labels=(1, 2), amplitudes=np.array([0.5, 0.5]))
-
-    def test_labels_must_increase(self):
-        amps = np.full(3, 1 / math.sqrt(3))
-        with pytest.raises(DomainError):
-            AmplitudeDistribution(labels=(1, 3, 3), amplitudes=amps)
-        with pytest.raises(DomainError):
-            AmplitudeDistribution(labels=(3, 2, 1), amplitudes=amps)
+            AmplitudeDistribution(labels=range(1, 3), amplitudes=np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize(
-        "labels", [(1, 3, 4), range(1, 7, 2), (1.5, 2.5, 3.5)], ids=["gap", "step-2", "float"]
+        "labels", [(1, 3, 4), (1, 3, 3), (3, 2, 1), range(1, 7, 2), range(3, 0, -1),
+                   (1.5, 2.5, 3.5), (4, 5, 6), [4, 5, 6], np.arange(4, 7)],
+        ids=["gap", "repeat", "descending", "step-2", "step-minus-1", "float",
+             "tuple", "list", "array"]
     )
-    def test_labels_must_be_consecutive_integers(self, labels):
+    def test_labels_must_be_a_step_1_range(self, labels):
         amps = np.full(3, 1 / math.sqrt(3))
-        with pytest.raises(DomainError, match="labels must be"):
+        with pytest.raises(DomainError, match="labels must be a range with step 1"):
             AmplitudeDistribution(labels=labels, amplitudes=amps)
 
-    def test_labels_stored_as_range(self):
+    def test_labels_stored_as_given(self):
         amps = np.full(3, 1 / math.sqrt(3))
         labels = range(4, 7)
         assert AmplitudeDistribution(labels=labels, amplitudes=amps).labels is labels
-        assert AmplitudeDistribution(labels=[4, 5, 6], amplitudes=amps).labels == range(4, 7)
-        assert AmplitudeDistribution(labels=np.arange(4, 7), amplitudes=amps).labels == range(4, 7)
+
+    @pytest.mark.parametrize(
+        "start", [2**70, 2**63 - 1, -2**63 - 1, -2**70], ids=["2^70", "past-top", "past-bottom",
+                                                           "-2^70"])
+    def test_labels_must_fit_in_int64(self, start):
+        # the CSV writers hold labels as int64; a wider label used to pass here
+        # and raise OverflowError from write_distribution
+        with pytest.raises(DomainError, match=re.escape("labels must lie in [-2^63, 2^63)")):
+            AmplitudeDistribution(labels=range(start, start + 2), amplitudes=[0.6, 0.8])
+
+    @pytest.mark.parametrize("start", [2**63 - 2, -2**63], ids=["top", "bottom"])
+    def test_int64_edge_labels_are_written(self, start, tmp_path):
+        dist = AmplitudeDistribution(labels=range(start, start + 2), amplitudes=[0.6, 0.8])
+        path = tmp_path / "dist.csv"
+        write_distribution(path, dist.labels, dist.proportions())
+        rows = path.read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [start, start + 1]
 
     def test_immutable_amplitudes(self):
         dist = uniform(4)
@@ -293,7 +306,7 @@ class TestInvariants:
     def test_non_finite_amplitudes_rejected(self, bad):
         amps = np.array([bad, 0.5, 0.5], dtype=np.complex128)
         with pytest.raises(DomainError, match="finite"):
-            AmplitudeDistribution(labels=(1, 2, 3), amplitudes=amps)
+            AmplitudeDistribution(labels=range(1, 4), amplitudes=amps)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_proportions_rejected(self, bad):

@@ -15,21 +15,21 @@ from wgrover.amplitudes import (
     uniform,
 )
 from wgrover.analysis import (
+    DEFAULT_PEAK_BUDGET,
     comparison_table,
     global_speedup,
     local_failures,
-    local_speedup,
 )
 from wgrover.continuum import delta_tilde
 from wgrover.errors import DomainError
-from wgrover.grover_core import first_peak, iterate
+from wgrover.grover_core import first_crests, first_peak, first_peaks, iterate
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
 
 def two_label_dist(p: float) -> AmplitudeDistribution:
     amps = np.array([p, math.sqrt(1 - p * p)], dtype=np.complex128)
-    return AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+    return AmplitudeDistribution(labels=range(1, 3), amplitudes=amps)
 
 
 class TestClassicalBounds:
@@ -52,25 +52,25 @@ class TestClassicalBounds:
 
 class TestLocalSpeedup:
     def test_small_amplitude_wins(self):
-        assert local_speedup(two_label_dist(0.3), 1) is True
+        assert 1 not in local_failures(two_label_dist(0.3))
 
     def test_dominant_amplitude_loses(self):
-        assert local_speedup(two_label_dist(0.9), 1) is False
+        assert 1 in local_failures(two_label_dist(0.9))
 
     def test_brute_force_scan_matches_rearranged_inequality(self):
         for p in np.arange(0.01, 1.0, 0.01):
             p = float(p)
             dist = two_label_dist(p)
-            assert local_speedup(dist, 1) == (delta_tilde(p) > p * p), f"p={p}"
+            assert (1 not in local_failures(dist)) == (delta_tilde(p) > p * p), f"p={p}"
 
     def test_threshold_at_inverse_sqrt2(self):
         for p in np.arange(0.01, 1.0, 0.01):
             p = float(p)
-            assert local_speedup(two_label_dist(p), 1) == (p < INV_SQRT2), f"p={p}"
+            assert (1 not in local_failures(two_label_dist(p))) == (p < INV_SQRT2), f"p={p}"
 
     def test_always_holds_below_half(self):
         for p in np.arange(0.01, 0.5, 0.01):
-            assert local_speedup(two_label_dist(float(p)), 1) is True
+            assert 1 not in local_failures(two_label_dist(float(p)))
 
 
 class TestGlobalSpeedup:
@@ -117,7 +117,7 @@ class TestComparisonTable:
     def test_uniform_quadratic_speedup_grows_without_bound(self):
         previous_ratio = 0.0
         for n in (4, 16, 64, 256, 1024):
-            row = comparison_table(uniform(n), peak_budget=0)[0]
+            row = comparison_table(uniform(n))[0]
             assert row.classical_steps == pytest.approx(n, abs=1e-9)
             assert row.grover_scale == pytest.approx(n / math.sqrt(n - 1), rel=1e-12)
             ratio = row.classical_steps / row.grover_scale
@@ -162,17 +162,11 @@ class TestComparisonTable:
     def test_infeasible_tail_peaks_are_omitted(self):
         # the alpha=0.8 window decays so fast that high labels would need
         # ~1e6..1e12 iterations; those rows carry no discrete peak
-        rows = comparison_table(truncated_coherent(0.8, 1, 20), peak_budget=100_000)
+        rows = comparison_table(truncated_coherent(0.8, 1, 20))
         feasible = [row.k for row in rows if row.discrete_peak is not None]
         omitted = [row.k for row in rows if row.discrete_peak is None]
         assert feasible == list(range(1, 12))
         assert omitted == list(range(12, 22))
-
-    def test_budget_is_configurable(self):
-        rows = comparison_table(uniform(4096), peak_budget=10)
-        assert all(row.discrete_peak is None for row in rows)
-        rows = comparison_table(uniform(16), peak_budget=10)
-        assert all(row.discrete_peak == 3 for row in rows)
 
     def test_rows_are_named_tuples_in_csv_column_order(self):
         row = comparison_table(uniform(20))[0]
@@ -186,11 +180,11 @@ class TestComparisonTable:
         # table names the first degenerate label
         for amps, first in (([1.0, 0.0, 0.0], "|P(1)|^2 = 1.0"),
                             ([0.6, 1e-170, 0.8], "|P(2)|^2 = 0.0")):
-            dist = AmplitudeDistribution(labels=(1, 2, 3), amplitudes=amps)
+            dist = AmplitudeDistribution(labels=range(1, 4), amplitudes=amps)
             with pytest.raises(DomainError, match=re.escape(f"{first} is degenerate")):
                 comparison_table(dist)
-            with pytest.raises(DomainError, match=re.escape("|P(2)|^2 = 0.0 is degenerate")):
-                local_speedup(dist, 2)
+            with pytest.raises(DomainError, match=re.escape(f"{first} is degenerate")):
+                local_failures(dist)
             with pytest.raises(DomainError):
                 global_speedup(dist)
 
@@ -246,21 +240,30 @@ class TestDiscretePeaksAgainstRecurrence:
 
 
 class TestPeakBudgetBoundary:
-    """A row is filled exactly when x* + 2 <= peak_budget, and then r* < peak_budget."""
+    """At DEFAULT_PEAK_BUDGET a row is filled exactly when x* + 2 <= budget.
 
-    @pytest.mark.parametrize("weights", [[0.05] * 20, [0.3, 0.7], [0.97, 0.03]],
-                             ids=["uniform20", "below-edge", "aliased"])
-    def test_filled_exactly_up_to_the_budget(self, weights):
-        dist = load_spec({"kind": "weights", "weights": weights})
-        for row in comparison_table(dist):
-            x_star = crest(math.sqrt(row.p_k))
-            r_star = first_peak(iterate(dist, row.k, int(x_star) + 3))[0]
-            edge = math.ceil(x_star + 2)
-            for budget in range(r_star - 1, edge + 3):
-                peak = comparison_table(dist, peak_budget=budget)[row.k - 1].discrete_peak
-                if x_star + 2 <= budget:
-                    assert peak == r_star < budget, f"k={row.k} budget={budget}"
-                else:
-                    assert peak is None, f"k={row.k} budget={budget}"
-            assert comparison_table(dist, peak_budget=edge - 1)[row.k - 1].discrete_peak is None
-            assert comparison_table(dist, peak_budget=edge)[row.k - 1].discrete_peak == r_star
+    Each two-weight table puts label 1's first crest x* a quarter step to
+    either side of budget - 2, once below the alias edge (|P|^2 ~ 6.2e-11)
+    and once aliased (|P|^2 ~ 1 - 2.5e-10).  The stepped recurrence gives
+    r*, the peak a filled row holds and an empty row leaves out.
+    """
+
+    @pytest.mark.parametrize("offset", [-0.25, 0.25], ids=["inside", "outside"])
+    @pytest.mark.parametrize("aliased", [False, True], ids=["below-edge", "aliased"])
+    def test_filled_exactly_up_to_the_budget(self, aliased, offset):
+        x_target = DEFAULT_PEAK_BUDGET - 2 + offset
+        if aliased:
+            p = math.cos(math.pi / (2 * (x_target + 0.5))) ** 2
+        else:
+            p = math.sin(math.pi / (4 * (x_target + 0.5))) ** 2
+        dist = load_spec({"kind": "weights", "weights": [p, 1 - p]})
+        mag = abs(dist.amplitude(1))
+        x_star = crest(mag)
+        assert (mag > INV_SQRT2) == aliased and abs(x_star - x_target) < 0.05
+        r_star = first_peak(iterate(dist, 1, math.ceil(x_star) + 2))[0]
+        peak = comparison_table(dist)[0].discrete_peak
+        if offset < 0:
+            assert peak == r_star < DEFAULT_PEAK_BUDGET
+        else:
+            assert peak is None
+            assert first_peaks(first_crests(mag)) == r_star

@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 from wgrover.amplitudes import AmplitudeDistribution, truncated_coherent, uniform
 from wgrover.continuum import (
     ContinuumSolution,
-    classify,
     delta_tilde,
     eval_fa,
     eval_fb,
     fit_one_step_solution,
-    fit_solution,
     period,
     predicted_peak_step,
 )
@@ -32,7 +30,7 @@ P20 = 1 / math.sqrt(20)
 
 def two_label_dist(p: float) -> AmplitudeDistribution:
     amps = np.array([p, math.sqrt(1 - p * p)], dtype=np.complex128)
-    return AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+    return AmplitudeDistribution(labels=range(1, 3), amplitudes=amps)
 
 
 class TestDeltaTilde:
@@ -64,64 +62,47 @@ class TestDeltaTilde:
             delta_tilde(np.array([0.5, 0.0]))
 
 
-class TestClassify:
-    def test_half_amplitude(self):
-        out = classify(0.5)
-        assert out.delta == -3.0
-        assert out.q1 == pytest.approx(-0.5 + 0.8660254037844386j, abs=1e-15)
-        assert out.q2 == pytest.approx(-0.5 - 0.8660254037844386j, abs=1e-15)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, 1e-170, math.nan],
-                             ids=["zero", "unit", "beyond-unit", "underflow", "nan"])
-    def test_degenerate_rejected(self, p):
-        with pytest.raises(DomainError, match="degenerate"):
-            classify(p)
-
-    def test_n20_amplitude(self):
-        out = classify(P20)
-        assert out.delta == pytest.approx(-0.76, abs=1e-15)
-        # conjugate pair -2|P|^2 +- 2i dt
-        assert out.q1 == pytest.approx(complex(-0.1, 2 * 0.21794494717703367), abs=1e-14)
-
-    def test_every_database_amplitude_is_oscillatory(self):
-        for dist in (uniform(2), uniform(50), truncated_coherent(0.8, 1, 20)):
-            for k in dist.labels:
-                out = classify(dist.amplitude(k))
-                assert out.delta < 0
-                assert out.q1.imag > 0 and out.q2 == out.q1.conjugate()
-
-
 class TestFitSolution:
     def test_n20_one_step_conditions(self):
-        sol = fit_solution(P20, 0.8, 2 * P20)
+        sol = fit_one_step_solution(P20)
         assert sol.c1 == 0.8
         assert sol.c2 == pytest.approx(-0.6423640548375729, abs=1e-15)
         assert sol.gamma == pytest.approx(-0.1, abs=1e-15)
         assert sol.beta == pytest.approx(2 * 0.21794494717703367, abs=1e-15)
 
-    def test_one_step_helper_matches_manual_fit(self):
+    def test_starts_at_the_recurrence_one_step_values(self):
+        # f_a(0) = a_1 bit for bit, f_b(0) = b_1 to rounding
+        traj = iterate(uniform(20), 1, 1)
         sol = fit_one_step_solution(P20)
-        manual = fit_solution(P20, 1 - 4 * 0.05, 2 * P20)
-        assert (sol.c1, sol.c2) == (manual.c1, manual.c2)
+        assert complex(sol.c1) == traj.a[1]
+        assert eval_fb(sol, 0.0) == pytest.approx(traj.b[1].real, abs=1e-15)
 
     def test_zero_c1_gives_pure_sine(self):
-        sol = fit_solution(0.5, 0.0, 1.0)
+        # |P| = 1/2: a_1 = 0, b_1 = 1, characteristic roots -1/2 +- i sqrt(3)/2
+        sol = fit_one_step_solution(0.5)
         assert sol.c1 == 0.0
         assert sol.c2 == pytest.approx(-1.1547005383792517, abs=1e-15)
+        assert (sol.gamma, sol.beta) == (-0.5, pytest.approx(0.8660254037844386, abs=1e-15))
+
+    def test_every_database_amplitude_is_oscillatory(self):
+        # Delta = 16|P|^4 - 16|P|^2 < 0: roots gamma +- i beta with gamma < 0 < beta
+        for dist in (uniform(2), uniform(50), truncated_coherent(0.8, 1, 20)):
+            for k in dist.labels:
+                sol = fit_one_step_solution(dist.amplitude(k))
+                assert sol.gamma < 0 < sol.beta
 
     def test_complex_amplitude_uses_rotated_real_part(self):
         p = 0.3 * np.exp(1.1j)
-        sol = fit_solution(p, 1 - 4 * 0.09, 2 * p)
-        ref = fit_solution(0.3, 1 - 4 * 0.09, 2 * 0.3)
+        sol = fit_one_step_solution(p)
+        ref = fit_one_step_solution(0.3)
         assert sol.c1 == ref.c1
         assert sol.c2 == pytest.approx(ref.c2, abs=1e-14)
 
-    def test_degenerate_rejected(self):
-        for p in (0.0, 1.0, 1e-170):
-            with pytest.raises(DomainError, match="degenerate"):
-                fit_solution(p, 1.0, 0.0)
-            with pytest.raises(DomainError, match="degenerate"):
-                fit_one_step_solution(p)
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, 1e-170, math.nan],
+                             ids=["zero", "unit", "beyond-unit", "underflow", "nan"])
+    def test_degenerate_rejected(self, p):
+        with pytest.raises(DomainError, match="degenerate"):
+            fit_one_step_solution(p)
 
 
 class TestEvaluation:
@@ -143,7 +124,7 @@ class TestEvaluation:
     def test_fb_at_zero_recovers_initial_condition(self):
         sol = fit_one_step_solution(P20)
         assert eval_fb(sol, 0.0) == pytest.approx(2 * P20, abs=1e-12)
-        sol2 = fit_solution(0.5, 0.0, 1.0)
+        sol2 = fit_one_step_solution(0.5)
         assert eval_fb(sol2, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_fb_peaks_where_fa_vanishes(self):

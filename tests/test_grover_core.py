@@ -61,7 +61,7 @@ def peak_bracket(p_abs: float, margin: int) -> int:
 def random_distribution(rng, n: int) -> AmplitudeDistribution:
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     amps /= np.linalg.norm(amps)
-    return AmplitudeDistribution(labels=tuple(range(1, n + 1)), amplitudes=amps)
+    return AmplitudeDistribution(labels=range(1, n + 1), amplitudes=amps)
 
 
 class TestStep:
@@ -157,9 +157,10 @@ class TestIterate:
         assert traj.points[1].success_prob == pytest.approx(1.0, abs=1e-12)
 
     def test_success_prob_matches_points(self):
-        traj = iterate(truncated_coherent(0.8, 1, 20), 3, 20)
+        dist = truncated_coherent(0.8, 1, 20)
+        traj, p_k = iterate(dist, 3, 20), dist.amplitude(3)
         for pt in traj.points:
-            amp = pt.state.a * traj.p_k + pt.state.b
+            amp = pt.state.a * p_k + pt.state.b
             assert pt.success_prob == pytest.approx(abs(amp) ** 2, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -224,7 +225,8 @@ class TestIterate:
 
 
 def two_label_distribution(p_k: complex) -> AmplitudeDistribution:
-    return AmplitudeDistribution(labels=(1, 2), amplitudes=[p_k, math.sqrt(1.0 - abs(p_k) ** 2)])
+    return AmplitudeDistribution(labels=range(1, 3),
+                                 amplitudes=[p_k, math.sqrt(1.0 - abs(p_k) ** 2)])
 
 
 def step_oracle(p_k: complex, r_max: int) -> list[tuple[TwoDState, float]]:
@@ -311,7 +313,7 @@ class TestFirstPeak:
         def peak(prob):
             prob = np.array(prob)
             zeros = np.zeros(len(prob), np.complex128)
-            return first_peak(Trajectory(target=1, p_k=0.5, a=zeros, b=zeros, prob=prob))
+            return first_peak(Trajectory(a=zeros, b=zeros, prob=prob))
 
         assert peak([0.1, 0.5, 0.5, 0.2]) == (1, 0.5)
         assert peak([0.3, 0.2, 0.4, 0.4, 0.4]) == (2, 0.4)
@@ -340,7 +342,7 @@ class TestFirstPeak:
     @example(p=0.9999)
     def test_scan_agrees_with_trajectory_peak(self, p):
         amps = np.array([p, math.sqrt(1 - p * p)], dtype=np.complex128)
-        dist = AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+        dist = AmplitudeDistribution(labels=range(1, 3), amplitudes=amps)
         limit = peak_bracket(p, 10)
         r_scan, prob_scan = scan_first_peak(dist, 1, limit)
         r_traj, prob_traj = first_peak(iterate(dist, 1, limit))
@@ -365,7 +367,7 @@ class TestFirstPeak:
     @pytest.mark.parametrize("p", [1 / math.sqrt(20), 0.9999])
     def test_r_limit_is_exclusive(self, p):
         amps = np.array([p, math.sqrt(1 - p * p)], dtype=np.complex128)
-        dist = AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+        dist = AmplitudeDistribution(labels=range(1, 3), amplitudes=amps)
         r_star, _ = scan_first_peak(dist, 1, 1000)
         assert scan_first_peak(dist, 1, r_star + 1)[0] == r_star
         with pytest.raises(NoPeakError, match="r_max"):
@@ -373,19 +375,20 @@ class TestFirstPeak:
 
     @pytest.mark.parametrize("p_abs", [2.4e-10, 4.4e-11, 1.4e-12, 1e-12])
     def test_deep_tail_peak_is_the_integer_nearest_the_crest(self, p_abs):
-        # sin^2 is flat to rounding around these crests (r ~ 1e9..1e12), so
-        # the 50-digit crest is the oracle; float64 x* is good to ~1e-4 here
+        # sin^2 is flat to rounding around these crests (r ~ 1e9..1e12, down
+        # to |P|^2 = 1e-24), so the 50-digit crest is the oracle; float64 x*
+        # is good to ~1e-4 here, and each 50-digit x* is 0.03 or more from a half
         amps = np.array([p_abs, math.sqrt(1 - p_abs * p_abs)], dtype=np.complex128)
-        dist = AmplitudeDistribution(labels=(1, 2), amplitudes=amps)
+        dist = AmplitudeDistribution(labels=range(1, 3), amplitudes=amps)
         r_scan, prob = scan_first_peak(dist, 1, 10**15)
         with mp.workdps(50):
             x_star = mp.pi / (4 * mp.asin(mp.mpf(p_abs))) - mp.mpf("0.5")
-            assert abs(r_scan - x_star) <= mp.mpf("0.5") + mp.mpf("1e-3")
+            assert r_scan == int(mp.ceil(x_star - mp.mpf("0.5")))
         assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_underflowing_target_rejected(self):
         # |P(1)| = 1e-170 squares to 0: every probability would be 0
-        dist = AmplitudeDistribution(labels=(1, 2), amplitudes=[1e-170, 1.0])
+        dist = AmplitudeDistribution(labels=range(1, 3), amplitudes=[1e-170, 1.0])
         with pytest.raises(DomainError, match=r"\|P\(1\)\|\^2 = 0.0 is degenerate"):
             iterate(dist, 1, 10)
         with pytest.raises(DomainError, match=r"\|P\(1\)\|\^2 = 0.0 is degenerate"):
@@ -396,7 +399,7 @@ class TestFirstPeak:
         # |P|^2 = 1e-20 is below 2^-56, so 1 - 4|P|^2 rounds to 1; 2.3e-162
         # squares to the smallest positive double.  Both are valid targets
         # whose first peak (r ~ 7.9e9, 3.4e161) lies past any allowed --rmax.
-        dist = AmplitudeDistribution(labels=(1, 2), amplitudes=[p_abs, 1.0])
+        dist = AmplitudeDistribution(labels=range(1, 3), amplitudes=[p_abs, 1.0])
         prop = target_proportions(abs(dist.amplitude(1)))
         assert 0.0 < prop < 1.0 and 1.0 - 4.0 * prop == 1.0
         with pytest.raises(NoPeakError, match="r_max"):
@@ -508,7 +511,7 @@ class TestProjection:
         assert out.b == pytest.approx(0.4472135954999579, abs=1e-12)
 
     def test_absent_target_rejected(self):
-        dist = AmplitudeDistribution(labels=(1, 2, 3), amplitudes=[0.0, 0.6, 0.8])
+        dist = AmplitudeDistribution(labels=range(1, 4), amplitudes=[0.0, 0.6, 0.8])
         with pytest.raises(DomainError, match="degenerate"):
             project_onto_subspace(np.asarray(dist.amplitudes), dist, 1)
 
@@ -535,7 +538,7 @@ def distribution_and_target(draw):
     mag = abs(amps[k - 1])
     if not 1e-3 < mag < 0.999:
         amps = np.full(n, 1 / math.sqrt(n), dtype=np.complex128)
-    dist = AmplitudeDistribution(labels=tuple(range(1, n + 1)), amplitudes=amps)
+    dist = AmplitudeDistribution(labels=range(1, n + 1), amplitudes=amps)
     return dist, k
 
 

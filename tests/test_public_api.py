@@ -15,7 +15,6 @@ PUBLIC = [
     "ComparisonRow",
     "SpeedupVerdict",
     "ContinuumSolution",
-    "DiscriminantClass",
     "Trajectory",
     "TrajectoryPoint",
     "TwoDState",
@@ -34,14 +33,11 @@ PUBLIC = [
     "dense_apply_G",
     "project_onto_subspace",
     "delta_tilde",
-    "classify",
-    "fit_solution",
     "fit_one_step_solution",
     "eval_fa",
     "eval_fb",
     "period",
     "predicted_peak_step",
-    "local_speedup",
     "local_failures",
     "global_speedup",
     "comparison_table",
@@ -69,6 +65,11 @@ DELETED = [
     "read_continuum",
     "read_comparison",
     "_read",
+    "DiscriminantClass",
+    "classify",
+    "fit_solution",
+    "local_speedup",
+    "_label_range",
 ]
 
 
