@@ -146,7 +146,9 @@ def truncated_coherent(alpha: complex, q1: int, n: int) -> AmplitudeDistribution
     log_mag = ks * (0.5 * math.log(lam)) - 0.5 * lgam
     log_mag -= 0.5 * _log_sum_exp(2.0 * log_mag)
     phase = cmath.phase(complex(alpha))
-    amps = np.exp(log_mag) * np.exp(1j * phase * ks)
+    amps = (1j * phase) * ks
+    np.exp(amps, out=amps)
+    amps *= np.exp(log_mag)
     amps /= np.linalg.norm(amps)
     return AmplitudeDistribution(labels=range(q1, q1 + n + 1), amplitudes=amps)
 

@@ -82,7 +82,7 @@ def fit_one_step_solution(p_k: complex) -> ContinuumSolution:
     beta = 2.0 * delta_tilde(p_k)
     mag2 = abs(p_k) ** 2
     gamma = -2.0 * mag2
-    c1 = float(1.0 - 4.0 * np.float_power(abs(p_k), 2))
+    c1 = 1.0 - 4.0 * mag2
     fb0 = 2.0 * complex(p_k)
     fa_prime0 = -4.0 * c1 * mag2 - 2.0 * (complex(p_k).conjugate() * fb0).real
     c2 = (fa_prime0 + 2.0 * mag2 * c1) / beta

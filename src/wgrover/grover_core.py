@@ -142,11 +142,12 @@ def success_probability(state: TwoDState, p_k: complex) -> float:
 def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     """Run the recurrence from (a, b) = (1, 0) for r_max steps.
 
-    The same scalar complex arithmetic as step and success_probability, with
-    P(k) checked once and the step's constants hoisted; the results are
-    bit-identical to repeated step calls.  Steps are collected BLOCK_STEPS
-    at a time into preallocated arrays, so a long run holds 40 bytes per
-    step, not one Python object per value.
+    The same scalar complex arithmetic as step, with P(k) checked once and
+    the step's constants hoisted; the probabilities follow from the arrays
+    after the loop, in success_probability's operation order.  The results
+    are bit-identical to repeated step and success_probability calls.  Steps
+    are collected BLOCK_STEPS at a time into preallocated arrays, so a long
+    run holds 40 bytes per step, not one Python object per value.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
@@ -155,30 +156,28 @@ def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     two_pc, two_p = 2.0 * p.conjugate(), 2.0 * p
     a_arr = np.empty(r_max + 1, np.complex128)
     b_arr = np.empty(r_max + 1, np.complex128)
-    prob = np.empty(r_max + 1, np.float64)
     a, b = 1.0 + 0.0j, 0.0 + 0.0j
-    a_arr[0], b_arr[0], prob[0] = a, b, abs(a * p + b) ** 2
-    try:
-        for lo in range(1, r_max + 1, BLOCK_STEPS):
-            hi = min(lo + BLOCK_STEPS, r_max + 1)
-            a_s, b_s, probs = [], [], []
-            for _ in range(lo, hi):
-                a, b = factor * a - two_pc * b, b + two_p * a
-                a_s.append(a)
-                b_s.append(b)
-                probs.append(abs(a * p + b) ** 2)
-            a_arr[lo:hi], b_arr[lo:hi], prob[lo:hi] = a_s, b_s, probs
-    except OverflowError:
-        # abs() overflowed, or met a NaN amplitude (a spurious OverflowError)
-        raise ConsistencyError(
-            f"success amplitude at r = {lo + len(probs)} is not finite; "
-            "the recurrence state is inconsistent"
-        ) from None
+    a_arr[0], b_arr[0] = a, b
+    for lo in range(1, r_max + 1, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, r_max + 1)
+        a_s, b_s = [], []
+        for _ in range(lo, hi):
+            a, b = factor * a - two_pc * b, b + two_p * a
+            a_s.append(a)
+            b_s.append(b)
+        a_arr[lo:hi], b_arr[lo:hi] = a_s, b_s
+    # abs(a * p + b) ** 2 with Python's complex product, which numpy's
+    # complex multiply does not round the same way
+    with np.errstate(invalid="ignore", over="ignore"):
+        re = a_arr.real * p.real - a_arr.imag * p.imag + b_arr.real
+        im = a_arr.real * p.imag + a_arr.imag * p.real + b_arr.imag
+        prob = np.float_power(np.hypot(re, im, out=re), 2, out=re)
     bad = ~(prob <= 1.0 + PROB_OVERSHOOT_TOL)
     if bad.any():
+        r = int(bad.argmax())
         raise ConsistencyError(
-            f"success probability {float(prob[bad.argmax()])!r} is NaN or exceeds 1 beyond "
-            "tolerance; the recurrence state is inconsistent"
+            f"success probability {float(prob[r])!r} at r = {r} is NaN, infinite or exceeds 1 "
+            "beyond tolerance; the recurrence state is inconsistent"
         )
     np.clip(prob, 0.0, 1.0, out=prob)
     for arr in (a_arr, b_arr, prob):

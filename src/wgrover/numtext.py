@@ -16,20 +16,22 @@ double, with one rounder and without one `%` call per number:
   its `%d` text (E <= 15, so v * 10^(16 - E) is exact).  Any other `%d`/`%s`
   cell (an int past 2^53, a bool, an object such as "") becomes NaN.
 
-Every cell of a block is laid out in the same seven 8-byte words, its
-characters masked by the cell's layout, and one translate deletes the
-masked bytes, so a block costs a constant number of numpy calls.  A row
+Every cell of a block is laid out in the same seven 8-byte words, and one
+translate deletes their zero bytes.  Words 0 and 6 follow from the sign and
+the exponent E: "-", the "0." to "0.000" of a value below 1, "e-05" to
+"e+290".  Words 1-5 hold twenty digits, the mantissa's 17 last, each with a
+point slot after it.  With n significant digits and q digits before the
+point (E + 1 printed fixed, 1 with an exponent, 0 below 1), the first
+max(n, q) digits show, and the point after the first q when n > q.  A row
 holding a value the kernel cannot certify (an exact decimal tie such as
 2^-25, a NaN or infinity, or a value outside the power table's exponent
-range) is written by `row_format % row` from its original cells instead,
-that row alone.
+range) is written by `row_format % row` from its original cells.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,15 +39,9 @@ import numpy as np
 # which bounds the kernel's temporary arrays at about 1 MB.
 BLOCK_CELLS = 2048
 
-# A cell's field is seven 8-byte words.  Word 0 ends in the sign and the
-# "0." that opens a %g value below 1; words 1-5 hold twenty digits, four
-# per word, each followed by a decimal-point slot; word 6 starts with "e",
-# the exponent's sign and three exponent digits.  Unused bytes are zero.
-_SIGN, _ZERO, _DIGITS, _EXP = 5, 6, 8, 48
 _WORDS = 7
-_NDIG = 20
-# A 17-digit %g mantissa fills the last 17 of the twenty digits.
-_G_FIRST = _NDIG - 17
+# The digit of the mantissa that opens each of words 1-5.
+_GROUP_START = np.arange(-3, 17, 4, dtype=np.int8).reshape(5, 1, 1)
 
 # Decimal exponents E the %g path certifies: the splitter keeps |x| and
 # 10^(16 - E) finite, and lo(10^(16 - E)) stays a normal number.
@@ -56,12 +52,6 @@ _SPLITTER = 134217729.0  # 2^27 + 1 (Veltkamp)
 # Every integer up to 2^53 in magnitude is a double.
 _EXACT = 2**53
 
-# Layouts of a field: by exponent class (E = -4..16 printed fixed, then
-# exponent of two or of three digits) and last nonzero digit.  A cell's
-# code is 2 * layout + sign.
-_G_CLASSES, _G_LASTS = 23, _NDIG - _G_FIRST
-_LAYOUTS = _G_CLASSES * _G_LASTS
-
 
 def format_rows(row_format: str, *columns):
     """Yield the bytes of row_format % row for every row, a block of rows at a time.
@@ -71,20 +61,20 @@ def format_rows(row_format: str, *columns):
     within 2^53 (such as "" for an empty cell) becomes NaN, so its row goes
     to `%`.  Each block is a bytes-like object.
     """
-    plan = _plan(row_format)
-    if len(columns) != len(plan.kinds):
-        raise ValueError(f"{row_format!r} takes {len(plan.kinds)} columns, got {len(columns)}")
-    cols = list(map(_column, columns, plan.kinds))
+    head, tails, kinds = _plan(row_format)
+    if len(columns) != len(kinds):
+        raise ValueError(f"{row_format!r} takes {len(kinds)} columns, got {len(columns)}")
+    cols = list(map(_column, columns, kinds))
     n_rows = len(cols[0])
     if any(len(c) != n_rows for c in cols):
         raise ValueError("columns differ in length")
     step = max(1, BLOCK_CELLS // len(cols))
-    out = np.zeros((min(n_rows, step), len(cols), _WORDS + plan.tails.shape[1]), np.uint64)
-    out[..., _WORDS:] = plan.tails
+    out = np.zeros((min(n_rows, step), len(cols), _WORDS + tails.shape[1]), np.uint64)
+    out[..., _WORDS:] = tails
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
         fallback = ~_fill(out[:hi - lo], [c[lo:hi] for c in cols]).all(axis=0)
-        yield _emit(plan, out[:hi - lo], fallback, row_format, columns, lo)
+        yield _emit(head, out[:hi - lo], fallback, row_format, columns, lo)
 
 
 def _format_row(row_format: str, row: tuple) -> bytes:
@@ -93,7 +83,7 @@ def _format_row(row_format: str, row: tuple) -> bytes:
 
 
 @cache
-def _plan(row_format: str) -> SimpleNamespace:
+def _plan(row_format: str) -> tuple[bytes, np.ndarray, list[str]]:
     """What a row format fixes: its opening literal (head), the literal after
     each cell as 8-byte words (tails) and its conversions (kinds).
     """
@@ -108,7 +98,7 @@ def _plan(row_format: str) -> SimpleNamespace:
     words = np.zeros((len(kinds), -(-max(map(len, tails)) // 8) * 8), np.uint8)
     for i, text in enumerate(tails):
         words[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return SimpleNamespace(head=literals[0], tails=words.view(np.uint64), kinds=kinds)
+    return literals[0], words.view(np.uint64), kinds
 
 
 def _column(col, kind) -> np.ndarray:
@@ -138,117 +128,66 @@ def _fill(out: np.ndarray, block) -> np.ndarray:
     Per-cell arrays are (cells, rows): one row per column of the block.
     """
     mag, exp, neg, ok = _round17(np.array(block))
-    t = _tables()
-    groups = _digit_groups(mag)
-    last = (t.last.take(groups) + t.group_start).max(axis=0)
-    code = t.g_code[exp - t.exp_min, np.maximum(last, _G_FIRST) - _G_FIRST] + neg
+    ends, digits, last, keep, before = _tables()
+    groups = np.empty((5,) + mag.shape, np.int64)
+    for j in range(4, -1, -1):
+        rest = mag // 10_000
+        np.subtract(mag, rest * 10_000, out=groups[j])
+        mag = rest
+    e = exp - (_EXP_MIN - 1)
+    q = before.take(e)
+    bound = np.maximum((last.take(groups) + _GROUP_START).max(axis=0), q - 1)
+    point = q * (bound >= q)
     words = out.transpose(2, 1, 0)
-    words[0] = t.keep[0].take(code)
-    digits = t.digits.take(groups)
-    digits &= t.keep[1:6].take(code, axis=1)
-    words[1:6] = digits
-    exps = t.exp.take(exp - t.exp_min)
-    exps &= t.keep[6].take(code)
-    words[6] = exps
+    words[[0, 6]] = ends.take(2 * e + neg, axis=1)
+    np.bitwise_and(digits.take(groups), keep.take(18 * bound + point, axis=1), out=words[1:6])
     return ok
 
 
-def _emit(plan, out: np.ndarray, fallback: np.ndarray, row_format: str,
+def _emit(head: bytes, out: np.ndarray, fallback: np.ndarray, row_format: str,
           columns, start: int):
-    """The block's bytes, with each fallback row formatted by `%`."""
-    words = out.ravel()
-    kept = words != 0
-    text = bytearray(8 * int(np.count_nonzero(kept)))
-    np.compress(kept, words, out=np.frombuffer(text, np.uint64))
-    text = text.translate(None, b"\0")
-    if plan.head:
-        text = plan.head + text
-    if fallback.any():
-        lengths = np.count_nonzero(out.view(np.uint8).reshape(len(out), -1), axis=1)
-        starts = [0] + np.cumsum(lengths).tolist()
-        pieces, pos = [], 0
-        for r in fallback.nonzero()[0].tolist():
-            row = tuple(c[start + r] for c in columns)
-            pieces += [text[pos:starts[r]], _format_row(row_format, row)]
-            pos = starts[r + 1]
-        pieces.append(text[pos:])
-        text = b"".join(pieces)
-    return text[:len(text) - len(plan.head)] if plan.head else text
-
-
-def _digit_groups(mag) -> np.ndarray:
-    """The five four-digit groups of each integer below 10^20, most significant first."""
-    groups = np.empty((5,) + mag.shape, np.int64)
-    for j in range(4, 0, -1):
-        q = mag // 10_000
-        np.subtract(mag, q * 10_000, out=groups[j])
-        mag = q
-    groups[0] = mag
-    return groups
+    """The block's bytes: each run of certified rows from its words, each other row by `%`."""
+    pieces, lo = [], 0
+    for r in fallback.nonzero()[0].tolist() + [len(out)]:
+        if lo < r:
+            words = out[lo:r].ravel()
+            kept = words != 0
+            text = bytearray(8 * int(np.count_nonzero(kept)))
+            np.compress(kept, words, out=np.frombuffer(text, np.uint64))
+            text = text.translate(None, b"\0")
+            pieces.append(head + text[:len(text) - len(head)] if head else text)
+        if r < len(out):
+            pieces.append(_format_row(row_format, tuple(c[start + r] for c in columns)))
+        lo = r + 1
+    return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
 
 @cache
-def _tables() -> SimpleNamespace:
-    """Lookup tables, built on first use.
-
-    digits: per group 0..9999, its four digits each followed by "." (uint64);
-    last: its last nonzero digit, -100 for none;
-    group_start: (5, 1, 1), the index of each group's first digit;
-    exp: "e", sign and three digits of each exponent from exp_min;
-    g_code: (exponent from exp_min, last digit - 3) -> 2 * layout;
-    keep: (words, codes), the bytes a code prints as 0xff (word 0 as its
-    characters).
+def _tables() -> tuple[np.ndarray, ...]:
+    """Words 0 and 6 by (E, sign), each group's "d.d.d.d." word and last nonzero
+    digit (-100 for none), the masks of words 1-5 by (bound, point), q by E.
     """
+    es = range(_EXP_MIN - 1, _EXP_MAX + 3)
+    ends = b"".join((sign + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else sign).ljust(8, b"\0")
+                    + (b"" if -4 <= e <= 16 else b"e%+03d" % e).ljust(8, b"\0")
+                    for e in es for sign in (b"", b"-"))
+    before = np.array([max(e + 1, 0) if -4 <= e <= 16 else 1 for e in es])
     n = np.arange(10_000)
-    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
-    nonzero = digits != 0
-    last = np.where(n > 0, 3 - nonzero[:, ::-1].argmax(axis=1), -100).astype(np.int8)
+    digit = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
     dotted = np.full((10_000, 8), ord("."), np.uint8)
-    dotted[:, ::2] = digits + ord("0")
-    e = np.arange(_EXP_MIN - 1, _EXP_MAX + 3)
-    exp = np.zeros((len(e), 8), np.uint8)
-    exp[:, 0] = ord("e")
-    exp[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-    exp[:, 2:5] = np.stack([abs(e) // 100, abs(e) // 10 % 10, abs(e) % 10], axis=1) + ord("0")
-    g_class = np.where((e >= -4) & (e <= 16), e + 4, np.where(abs(e) >= 100, 22, 21))
-    g_code = (2 * (g_class[:, None] * _G_LASTS + np.arange(_G_LASTS))).astype(np.int16)
-    keep = np.zeros((_LAYOUTS, 2, 8 * _WORDS), np.uint8)
-    for layout in range(_LAYOUTS):
-        q, lo, hi, zero, exp_digits = _field(layout)
-        slots = keep[layout]
-        slots[1, _SIGN] = ord("-")
-        slots[:, _ZERO:_DIGITS] = np.frombuffer(b"0.", np.uint8) * zero
-        slots[:, _DIGITS + 2 * lo:_DIGITS + 2 * hi + 1:2] = 255
-        if q is not None:
-            slots[:, _DIGITS + 2 * q + 1] = 255
-        slots[:, _EXP:_EXP + 5] = 255 * np.array([exp_digits > 0] * 2 + [exp_digits == 3]
-                                                 + [exp_digits > 0] * 2)
-    tables = SimpleNamespace(
-        digits=dotted.view(np.uint64).ravel(), last=last,
-        group_start=np.arange(0, _NDIG, 4, dtype=np.int8).reshape(5, 1, 1),
-        exp=exp.view(np.uint64).ravel(), exp_min=_EXP_MIN - 1, g_code=g_code,
-        keep=keep.reshape(2 * _LAYOUTS, 8 * _WORDS).view(np.uint64).T.copy())
-    for t in vars(tables).values():
-        if isinstance(t, np.ndarray):
-            t.setflags(write=False)
+    dotted[:, ::2] = digit + ord("0")
+    last = np.where(n > 0, 3 - (digit[:, ::-1] != 0).argmax(axis=1), -100).astype(np.int8)
+    # mantissa digit i is byte 2i + 6 of words 1-5, its point slot the next
+    keep = np.zeros((17, 18, 40), np.uint8)
+    for i in range(17):
+        keep[i:, :, 2 * i + 6] = 255
+        keep[:, i + 1, 2 * i + 7] = 255
+    tables = (np.frombuffer(ends, np.uint64).reshape(-1, 2).T.copy(),
+              dotted.view(np.uint64).ravel(), last, keep.view(np.uint64).reshape(-1, 5).T.copy(),
+              before)
+    for t in tables:
+        t.setflags(write=False)
     return tables
-
-
-def _field(layout: int) -> tuple[int | None, int, int, bool, int]:
-    """(q, lo, hi, "0." shown, exponent digits) of one layout.
-
-    Digits lo..hi of the twenty are printed, with a point after digit q
-    unless q is None.
-    """
-    g_class, last = divmod(layout, _G_LASTS)
-    last += _G_FIRST
-    if g_class >= 21:
-        return _G_FIRST if last > _G_FIRST else None, _G_FIRST, last, False, g_class - 19
-    e = g_class - 4
-    if e < 0:
-        return None, _G_FIRST + e + 1, last, True, 0
-    q = _G_FIRST + e
-    return q if last > q else None, _G_FIRST, max(last, q), False, 0
 
 
 @cache

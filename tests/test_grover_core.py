@@ -211,7 +211,8 @@ class TestIterate:
         # a broken step constant turns the state into NaN or infinity
         monkeypatch.setattr(grover_core, "target_proportions",
                             lambda mag, labels=None: proportion)
-        with pytest.raises(ConsistencyError):
+        # the first step already holds the NaN or the overflow
+        with pytest.raises(ConsistencyError, match="at r = 1 "):
             iterate(uniform(4), 1, 10)
 
     def test_long_run_spans_several_blocks(self):

@@ -75,6 +75,14 @@ def test_g17_fixed_and_exponent_boundaries():
              1.7976931348623157e308]
     values = np.array(edges + [math.nextafter(x, math.inf) for x in edges])
     assert_matches("%.17g|%.17g\n", values, -values)
+    # Hypothesis floats nearly always show 17 digits.  Decimal strings of 1-17
+    # significant digits, at each exponent printed fixed and past both ends,
+    # give the shorter mantissas, such as 1.5e+20 or 0.00012.
+    prefixes = ("1234567891234567", "1111111111111111", "1987654321987654")
+    values = np.array([float(f"{p[:n - 1]}{last}e{e - n + 1}")
+                       for e in [*range(-6, 19), -100, 100, -280, 290] for n in range(1, 18)
+                       for p in prefixes for last in "123456789"])
+    assert_matches("%.17g|%.17g\n", values, -values)
 
 
 def test_g17_round_up_carries_into_the_exponent():
