@@ -13,6 +13,7 @@ from .amplitudes import (
 )
 from .analysis import (
     ComparisonRow,
+    ComparisonTable,
     SpeedupVerdict,
     comparison_table,
     global_speedup,
@@ -44,6 +45,7 @@ from .grover_core import (
 __all__ = [
     "AmplitudeDistribution",
     "ComparisonRow",
+    "ComparisonTable",
     "SpeedupVerdict",
     "ContinuumSolution",
     "Trajectory",

@@ -15,7 +15,9 @@ it flips exactly at |P| = 1/sqrt(2) and always holds below |P| = 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -26,8 +28,9 @@ from .continuum import delta_tilde
 from .errors import DomainError
 
 # Rows whose first crest x* lies beyond this budget (x* + 2 > budget) report
-# no discrete peak: the table's contract, not a cost limit (every peak is
-# found in O(1)).  Tail labels of a coherent window would peak at ~1e12.
+# no discrete peak (0 in the column, an empty CSV cell): the table's contract,
+# not a cost limit (every peak is found in O(1)).  Tail labels of a coherent
+# window would peak at ~1e12.
 DEFAULT_PEAK_BUDGET = 100_000
 
 
@@ -46,6 +49,53 @@ class ComparisonRow(NamedTuple):
     recip_grover: float
     ln_classical: float
     ln_grover: float
+
+
+@dataclass(frozen=True, eq=False)
+class ComparisonTable(Sequence):
+    """The comparison as read-only columns, in the column order of the comparison CSV.
+
+    k is the label range, discrete_peak is int64 with 0 for no peak within
+    DEFAULT_PEAK_BUDGET (an empty CSV cell), and the other columns are
+    float64.  As a Sequence the table is its rows: len() is the label count,
+    and indexing or iterating builds ComparisonRows on demand, with
+    discrete_peak None for an empty cell.
+    """
+
+    k: range
+    p_k: np.ndarray
+    classical_steps: np.ndarray
+    grover_scale: np.ndarray
+    discrete_peak: np.ndarray
+    recip_classical: np.ndarray
+    recip_grover: np.ndarray
+    ln_classical: np.ndarray
+    ln_grover: np.ndarray
+
+    @property
+    def columns(self) -> tuple:
+        """The nine columns, k first, in CSV order."""
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, i: int) -> ComparisonRow:
+        n = len(self)
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"comparison index out of range for {n} rows")
+        return next(self._rows(i, i + 1))
+
+    def __iter__(self):
+        return self._rows(0, len(self))
+
+    def _rows(self, lo: int, hi: int):
+        cells = [col[lo:hi].tolist() for col in self.columns[1:]]
+        cells[3] = [peak or None for peak in cells[3]]  # discrete_peak: 0 is empty
+        return map(ComparisonRow, self.k[lo:hi], *cells)
 
 
 @dataclass(frozen=True)
@@ -89,12 +139,12 @@ def global_speedup(dist: AmplitudeDistribution) -> SpeedupVerdict:
     )
 
 
-def comparison_table(dist: AmplitudeDistribution) -> list[ComparisonRow]:
-    """One row per label with classical and Grover step metrics, in one pass.
+def comparison_table(dist: AmplitudeDistribution) -> ComparisonTable:
+    """Classical and Grover step metrics of every label, as columns, in one pass.
 
     discrete_peak is the first peak of the exact recurrence, the integer
     nearest the first crest x* of sin^2((2r + 1) asin|P(k)|)
-    (grover_core.first_peaks); labels with x* + 2 > DEFAULT_PEAK_BUDGET get None.
+    (grover_core.first_peaks); labels with x* + 2 > DEFAULT_PEAK_BUDGET get 0.
     The log columns use math.log, since np.log differs from it in the last
     bit on some inputs.  A |P(k)|^2 below about 5.6e-309, whose classical
     step count 1/|P(k)|^2 overflows, raises DomainError.
@@ -102,18 +152,20 @@ def comparison_table(dist: AmplitudeDistribution) -> list[ComparisonRow]:
     mag, props, dts = _label_metrics(dist)
     crests = grover_core.first_crests(mag)
     filled = crests + 2 <= DEFAULT_PEAK_BUDGET
-    peaks = np.full(len(props), None, dtype=object)
-    peaks[filled] = grover_core.first_peaks(crests[filled]).astype(np.int64)
+    peaks = np.zeros(len(props), dtype=np.int64)
+    peaks[filled] = grover_core.first_peaks(crests[filled])
     with np.errstate(over="ignore"):
         classical = 1.0 / props
     if np.isinf(classical).any():
         i = int(np.argmax(np.isinf(classical)))
         raise DomainError(f"classical steps 1/|P({dist.labels[i]})|^2 overflow: "
                           f"|P({dist.labels[i]})|^2 = {float(props[i])!r}")
-    p, dt = props.tolist(), dts.tolist()
-    classical, grover = classical.tolist(), (1.0 / dts).tolist()
-    return list(map(ComparisonRow, dist.labels, p, classical, grover, peaks.tolist(),
-                    p, dt, map(math.log, classical), map(math.log, grover)))
+    grover = 1.0 / dts
+    logs = [np.fromiter(map(math.log, col.tolist()), np.float64, len(col))
+            for col in (classical, grover)]
+    for col in (props, dts, classical, grover, peaks, *logs):
+        col.setflags(write=False)
+    return ComparisonTable(dist.labels, props, classical, grover, peaks, props, dts, *logs)
 
 
 def local_failures(dist: AmplitudeDistribution) -> list[int]:

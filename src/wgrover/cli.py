@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(repro)
     repro.set_defaults(run=cmd_repro)
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process for main; argparse keeps no state between parses."""
+    return build_parser()
 
 
 def _load_dist(args) -> AmplitudeDistribution:
@@ -157,12 +164,12 @@ def cmd_continuum(args) -> int:
 
 def cmd_compare(args) -> int:
     dist = _plottable(_load_dist(args), args.svg)
-    rows = analysis.comparison_table(dist)
+    table = analysis.comparison_table(dist)
     out = _ensure_out(args)
-    csvio.write_comparison(out / "comparison.csv", rows)
+    csvio.write_comparison(out / "comparison.csv", table)
     if args.svg:
-        _comparison_svg(out / "comparison_recip.svg", rows, "reciprocal step numbers")
-        _comparison_svg(out / "comparison_log.svg", rows, "log step numbers", log=True)
+        _comparison_svg(out / "comparison_recip.svg", table, "reciprocal step numbers")
+        _comparison_svg(out / "comparison_log.svg", table, "log step numbers", log=True)
     verdict = analysis.global_speedup(dist)
     failures = analysis.local_failures(dist)
     print(
@@ -177,15 +184,18 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _comparison_svg(path: Path, rows, title: str, log: bool = False) -> None:
-    """Classical vs Grover step numbers per label: reciprocals, or logs if log."""
-    ks = [float(r.k) for r in rows]
+def _comparison_svg(path: Path, table: analysis.ComparisonTable, title: str,
+                    log: bool = False) -> None:
+    """Classical vs Grover step numbers per label: reciprocals, or logs if log.
+
+    The labels lie in [0, 2^53] (_plottable), so each float label is exact.
+    """
+    ks = np.arange(len(table), dtype=float) + table.k.start
     if log:
-        series = [("classical", ks, [r.ln_classical for r in rows]),
-                  ("grover", ks, [r.ln_grover for r in rows])]
+        series = [("classical", ks, table.ln_classical), ("grover", ks, table.ln_grover)]
     else:
-        series = [("classical p_k", ks, [r.recip_classical for r in rows]),
-                  ("grover dt(k)", ks, [r.recip_grover for r in rows])]
+        series = [("classical p_k", ks, table.recip_classical),
+                  ("grover dt(k)", ks, table.recip_grover)]
     svg.line_plot(path, series, title, "label k", "ln(steps)" if log else "1/steps")
 
 
@@ -249,13 +259,13 @@ def cmd_repro(args) -> int:
                      f"coherent alpha={FIG4_ALPHA}, k={FIG4_TARGET}")
     else:
         for alpha in FIGURE_ALPHAS:
-            rows = analysis.comparison_table(_coherent_figure_dist(alpha))
-            csvio.write_comparison(out / f"alpha_{alpha}.csv", rows)
+            table = analysis.comparison_table(_coherent_figure_dist(alpha))
+            csvio.write_comparison(out / f"alpha_{alpha}.csv", table)
             if figure == "fig5":
-                _comparison_svg(out / f"alpha_{alpha}_recip.svg", rows,
+                _comparison_svg(out / f"alpha_{alpha}_recip.svg", table,
                                 f"reciprocal steps, alpha={alpha}")
             else:
-                _comparison_svg(out / f"alpha_{alpha}_log.svg", rows,
+                _comparison_svg(out / f"alpha_{alpha}_log.svg", table,
                                 f"log steps, alpha={alpha}", log=True)
     print(f"wrote {figure} artifacts under {out}")
     return EXIT_OK
@@ -263,7 +273,7 @@ def cmd_repro(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

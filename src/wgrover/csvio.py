@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numtext
-from .analysis import ComparisonRow
+from .analysis import ComparisonRow, ComparisonTable
 from .continuum import ContinuumSolution, eval_fa, eval_fb
 from .errors import DomainError
 from .grover_core import Trajectory
@@ -21,17 +21,7 @@ from .grover_core import Trajectory
 DISTRIBUTION_HEADER = ["k", "p_k"]
 TRAJECTORY_HEADER = ["r", "a_re", "a_im", "b_re", "b_im", "success_prob"]
 CONTINUUM_HEADER = ["x", "f_a", "f_b"]
-COMPARISON_HEADER = [
-    "k",
-    "p_k",
-    "classical_steps",
-    "grover_scale",
-    "discrete_peak",
-    "recip_classical",
-    "recip_grover",
-    "ln_classical",
-    "ln_grover",
-]
+COMPARISON_HEADER = list(ComparisonRow._fields)
 
 
 # Continuum sample spacing in x.
@@ -49,11 +39,11 @@ DISTRIBUTION_ROW = "%d,%.17g\n"
 COMPARISON_ROW = "%d,%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
 
 
-def _write(path: Path, header: list[str], row_format: str, *columns) -> None:
+def _write(path: Path, header: list[str], row_format: str, *columns, empty=None) -> None:
     """Write the header, then the columns' rows through row_format, streamed."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        fh.writelines(numtext.format_rows(row_format, *columns))
+        fh.writelines(numtext.format_rows(row_format, *columns, empty=empty))
 
 
 def write_distribution(path: Path, labels, proportions) -> None:
@@ -89,10 +79,8 @@ def write_continuum(path: Path, sol: ContinuumSolution,
     return xs, fa, fb
 
 
-def write_comparison(path: Path, rows: list[ComparisonRow]) -> None:
-    """A row without a discrete peak gets an empty cell, which `%s` writes."""
-    columns = list(zip(*rows)) or [()] * len(COMPARISON_HEADER)
-    peaks = columns[4] = np.empty(len(rows), dtype=object)
-    peaks[:] = ["" if row.discrete_peak is None else row.discrete_peak for row in rows]
-    _write(path, COMPARISON_HEADER, COMPARISON_ROW, *columns)
+def write_comparison(path: Path, table: ComparisonTable) -> None:
+    """A row without a discrete peak (0 in the column) gets an empty cell."""
+    _write(path, COMPARISON_HEADER, COMPARISON_ROW, *table.columns,
+           empty=table.discrete_peak == 0)
 

@@ -308,7 +308,8 @@ def project_onto_subspace(
     b = (rhs_k - p_k * rhs_d) / det
     recon = a * d
     recon[idx] += b
-    residual = float(np.linalg.norm(recon - v))
+    recon -= v
+    residual = float(np.linalg.norm(recon))
     if residual > SUBSPACE_RESIDUAL_TOL:
         raise ConsistencyError(
             f"state left the 2-d subspace span{{D, e_k}}: residual {residual!r}"

@@ -2,10 +2,11 @@
 
 format_rows(row_format, *columns) yields the bytes of `row_format % row` for
 every row of equally long columns, for the conversions the CSV files use
-(`csvio` is the only caller): `%d` and `%s` of an int, and `%.17g` for
-round-trip-exact floats.  Python's `%` is the exact oracle: correctly
-rounded, ties to even (Gay 1990).  The kernel converts every cell as a
-double, with one rounder and without one `%` call per number:
+(`csvio` is the only caller): `%d` and `%s` of an int, `%s` of "" for an
+empty cell, and `%.17g` for round-trip-exact floats.  Python's `%` is the
+exact oracle: correctly rounded, ties to even (Gay 1990).  The kernel
+converts every cell as a double, with one rounder and without one `%` call
+per number:
 
 * `%.17g`: with E = floor(log10|x|), the double-double product
   |x| * 10^(16 - E) = p + t uses Dekker's (1971) TwoProduct for
@@ -15,6 +16,7 @@ double, with one rounder and without one `%` call per number:
 * An integer v with |v| <= 2^53 is its exact double, whose `%.17g` text is
   its `%d` text (E <= 15, so v * 10^(16 - E) is exact).  Any other `%d`/`%s`
   cell (an int past 2^53, a bool, an object such as "") becomes NaN.
+  An empty `%s` cell keeps only its literal: words 0-6 are zero.
 
 Every cell of a block is laid out in the same seven 8-byte words, and one
 translate deletes their zero bytes.  Words 0 and 6 follow from the sign and
@@ -25,7 +27,8 @@ point (E + 1 printed fixed, 1 with an exponent, 0 below 1), the first
 max(n, q) digits show, and the point after the first q when n > q.  A row
 holding a value the kernel cannot certify (an exact decimal tie such as
 2^-25, a NaN or infinity, or a value outside the power table's exponent
-range) is written by `row_format % row` from its original cells.
+range) is written by `row_format % row` from its original cells, with ""
+in an empty cell.
 """
 
 from __future__ import annotations
@@ -53,13 +56,14 @@ _SPLITTER = 134217729.0  # 2^27 + 1 (Veltkamp)
 _EXACT = 2**53
 
 
-def format_rows(row_format: str, *columns):
+def format_rows(row_format: str, *columns, empty=None):
     """Yield the bytes of row_format % row for every row, a block of rows at a time.
 
     row_format holds literal text and one `%d`, `%s` or `%.17g` per column.
     Every cell is converted as a double: a `%d`/`%s` cell that is not an int
-    within 2^53 (such as "" for an empty cell) becomes NaN, so its row goes
-    to `%`.  Each block is a bytes-like object.
+    within 2^53 becomes NaN, so its row goes to `%`.  empty, if given, is a
+    boolean array over the rows; each `%s` cell of its true rows is written
+    as the `%s` of "", an empty cell.  Each block is a bytes-like object.
     """
     head, tails, kinds = _plan(row_format)
     if len(columns) != len(kinds):
@@ -68,13 +72,27 @@ def format_rows(row_format: str, *columns):
     n_rows = len(cols[0])
     if any(len(c) != n_rows for c in cols):
         raise ValueError("columns differ in length")
+    blank = [] if empty is None else [j for j, kind in enumerate(kinds) if kind == "s"]
+
+    def row(i):
+        cells = tuple(c[i] for c in columns)
+        if blank and empty[i]:
+            return tuple("" if kind == "s" else v for v, kind in zip(cells, kinds))
+        return cells
+
     step = max(1, BLOCK_CELLS // len(cols))
     out = np.zeros((min(n_rows, step), len(cols), _WORDS + tails.shape[1]), np.uint64)
     out[..., _WORDS:] = tails
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
-        fallback = ~_fill(out[:hi - lo], [c[lo:hi] for c in cols]).all(axis=0)
-        yield _emit(head, out[:hi - lo], fallback, row_format, columns, lo)
+        block = out[:hi - lo]
+        ok = _fill(block, [c[lo:hi] for c in cols])
+        if blank:
+            rows = np.flatnonzero(empty[lo:hi])
+            for j in blank:
+                block[rows, j, :_WORDS] = 0
+                ok[j, rows] = True
+        yield _emit(head, block, ~ok.all(axis=0), row_format, row, lo)
 
 
 def _format_row(row_format: str, row: tuple) -> bytes:
@@ -145,7 +163,7 @@ def _fill(out: np.ndarray, block) -> np.ndarray:
 
 
 def _emit(head: bytes, out: np.ndarray, fallback: np.ndarray, row_format: str,
-          columns, start: int):
+          row, start: int):
     """The block's bytes: each run of certified rows from its words, each other row by `%`."""
     pieces, lo = [], 0
     for r in fallback.nonzero()[0].tolist() + [len(out)]:
@@ -157,7 +175,7 @@ def _emit(head: bytes, out: np.ndarray, fallback: np.ndarray, row_format: str,
             text = text.translate(None, b"\0")
             pieces.append(head + text[:len(text) - len(head)] if head else text)
         if r < len(out):
-            pieces.append(_format_row(row_format, tuple(c[start + r] for c in columns)))
+            pieces.append(_format_row(row_format, row(start + r)))
         lo = r + 1
     return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 

@@ -16,6 +16,7 @@ from wgrover.amplitudes import (
 )
 from wgrover.analysis import (
     DEFAULT_PEAK_BUDGET,
+    ComparisonRow,
     comparison_table,
     global_speedup,
     local_failures,
@@ -174,6 +175,42 @@ class TestComparisonTable:
                               row.discrete_peak, row.recip_classical, row.recip_grover,
                               row.ln_classical, row.ln_grover)
         assert type(row.k) is int and type(row.discrete_peak) is int
+
+    def test_columns_are_read_only_arrays_in_csv_order(self):
+        dist = truncated_coherent(0.8, 1, 20)
+        table = comparison_table(dist)
+        assert len(table) == dist.size == 21
+        assert table.k == dist.labels and table.columns[0] is table.k
+        for name, col in zip(ComparisonRow._fields[1:], table.columns[1:]):
+            assert type(col) is np.ndarray and col.shape == (dist.size,), name
+            assert col.dtype == (np.int64 if name == "discrete_peak" else np.float64), name
+            assert not col.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 1
+        # an empty cell is 0 in the column; every filled peak is at least 1
+        assert table.discrete_peak.tolist() == [2, 1, 3, 8, 24, 76, 251, 890, 3337, 13192,
+                                                54695] + [0] * 10
+        assert np.array_equal(table.ln_classical, [math.log(x) for x in table.classical_steps])
+        assert np.array_equal(table.ln_grover, [math.log(x) for x in table.grover_scale])
+
+    def test_rows_are_built_from_the_columns(self):
+        table = comparison_table(truncated_coherent(0.8, 1, 20))
+        rows = list(table)
+        assert len(rows) == len(table)
+        for i, row in enumerate(rows):
+            assert table[i] == row == table[i - len(table)]
+            assert type(row.k) is int and row.k == table.k[i]
+            peak = int(table.discrete_peak[i])
+            assert row.discrete_peak == (peak or None)
+            assert type(row.discrete_peak) in (int, type(None))
+            for name in ComparisonRow._fields:
+                if name not in ("k", "discrete_peak"):
+                    value = getattr(row, name)
+                    assert type(value) is float and value == getattr(table, name)[i], name
+        assert [row.discrete_peak is None for row in rows] == [i >= 11 for i in range(21)]
+        for i in (21, -22):
+            with pytest.raises(IndexError):
+                table[i]
 
     def test_degenerate_amplitude_rejected(self):
         # norm is 1 but label 2's |P|^2 is 0 (1e-170 squares to 0); the

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import wgrover
-from wgrover import amplitudes, csvio, grover_core
+from wgrover import amplitudes, analysis, cli, csvio, grover_core
 from wgrover.amplitudes import MAX_ENTRIES, load_spec
 from wgrover.cli import MAX_RMAX, main
 
@@ -186,6 +186,33 @@ class TestCompareCommand:
         assert (tmp_path / "comparison_recip.svg").exists()
         assert (tmp_path / "comparison_log.svg").exists()
 
+    def test_empty_cells_between_filled_ones_match_percent(self, tmp_path):
+        # tiny and large weights alternate: every other first crest lies past
+        # DEFAULT_PEAK_BUDGET, over several of numtext's blocks of rows
+        large = [(i + 1) / 45150 for i in range(300)]  # sums to 1
+        weights = json.dumps({"kind": "weights",
+                              "weights": [w for big in large for w in (big, 1e-14)]})
+        assert run("compare", "--inline", weights, "--out", str(tmp_path)) == 0
+        table = analysis.comparison_table(load_spec(json.loads(weights)))
+        peaks = [row.discrete_peak for row in table]
+        assert peaks[1::2] == [None] * 300 and None not in peaks[::2]
+        want = ",".join(csvio.COMPARISON_HEADER) + "\n" + "".join(
+            csvio.COMPARISON_ROW % row._replace(discrete_peak="" if row.discrete_peak is None
+                                                else row.discrete_peak)
+            for row in table)
+        assert (tmp_path / "comparison.csv").read_bytes() == want.encode()
+
+    def test_write_and_plot_paths_build_no_rows(self, tmp_path, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a ComparisonRow was built")
+
+        monkeypatch.setattr(analysis, "ComparisonRow", no_rows)
+        assert run("compare", "--inline", COHERENT08, "--svg", "--out", str(tmp_path)) == 0
+        assert run("repro", "fig5", "--out", str(tmp_path)) == 0
+        assert run("repro", "fig6", "--out", str(tmp_path)) == 0
+        with pytest.raises(AssertionError, match="ComparisonRow"):
+            analysis.comparison_table(load_spec(json.loads(COHERENT08)))[0]
+
 
 class TestReproCommand:
     def test_fig2_artifacts(self, tmp_path):
@@ -237,6 +264,20 @@ class TestExitCodes:
 
     def test_unknown_figure_exits_1(self):
         assert run("repro", "fig9") == 1
+
+    def test_successive_calls_share_one_parser(self, tmp_path, capsys):
+        # main parses with one parser per process; each call gets its own
+        # defaults, whatever the call before it parsed or rejected
+        out = str(tmp_path)
+        assert run("simulate", "--inline", UNIFORM20, "--target", "1", "--rmax", "3",
+                   "--out", out) == 3
+        assert run("repro", "fig2", "--svg", "--out", out) == 1
+        assert run("simulate", "--inline", UNIFORM20, "--target", "1", "--out", out) == 0
+        assert run("dist", "--inline", UNIFORM20, "--target", "1", "--out", out) == 1
+        assert run("compare", "--inline", UNIFORM20, "--out", out) == 0
+        assert len(read_csv(tmp_path / "trajectory.csv", csvio.TRAJECTORY_HEADER)) == 201
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -13,6 +13,7 @@ import wgrover
 PUBLIC = [
     "AmplitudeDistribution",
     "ComparisonRow",
+    "ComparisonTable",
     "SpeedupVerdict",
     "ContinuumSolution",
     "Trajectory",
