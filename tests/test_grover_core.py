@@ -6,6 +6,9 @@ amplification identity that never touches the recurrence code.
 """
 
 import math
+import multiprocessing
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +40,9 @@ from wgrover.grover_core import (
 )
 
 P20 = 1 / math.sqrt(20)
+DENSE_BLOCK = grover_core.DENSE_BLOCK
+# four blocks for the dense oracle, the last one partial
+BLOCKED_N = 3 * DENSE_BLOCK + 5
 
 
 def oracle_success_prob(p_abs: float, r: int) -> float:
@@ -453,6 +459,16 @@ class TestDenseOracle:
         with pytest.raises(DomainError):
             dense_apply_G(np.ones(4, dtype=complex), uniform(4), 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [4, BLOCKED_N], ids=["one-block", "four-blocks"])
+    def test_non_finite_state_rejected(self, n, bad):
+        # a NaN or infinite norm fails the check; no NaN state comes back
+        dist = uniform(n)
+        state = np.array(dist.amplitudes)
+        state[n - 1] = bad
+        with pytest.raises(DomainError, match="norm"):
+            dense_apply_G(state, dist, 1)
+
 
 def reference_apply_G(state, dist, k):
     """G v written out literally: copy v, flip v_k, then 2 <D|v> D - v."""
@@ -523,6 +539,15 @@ class TestProjection:
         with pytest.raises(ConsistencyError, match="subspace"):
             project_onto_subspace(v, dist, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [4, BLOCKED_N], ids=["one-block", "four-blocks"])
+    def test_non_finite_state_raises(self, n, bad):
+        dist = uniform(n)
+        state = np.array(dist.amplitudes)
+        state[n - 1] = bad
+        with pytest.raises(ConsistencyError, match="subspace"):
+            project_onto_subspace(state, dist, 1)
+
 
 @st.composite
 def distribution_and_target(draw):
@@ -569,3 +594,143 @@ class TestRecurrenceOracleEquivalence:
             coeffs = project_onto_subspace(state, dist, k)
             recon = coeffs.a * d + coeffs.b * e_k
             assert np.linalg.norm(recon - state) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def blocked():
+    """A random complex database over four blocks, and a random unit state."""
+    rng = np.random.default_rng(31)
+    dist = random_distribution(rng, BLOCKED_N)
+    state = rng.standard_normal(BLOCKED_N) + 1j * rng.standard_normal(BLOCKED_N)
+    state /= np.linalg.norm(state)
+    return dist, state
+
+
+def g_applied(dist, k, r):
+    """G^r |D> by r dense steps."""
+    state = dist.amplitudes
+    for _ in range(r):
+        state = dense_apply_G(state, dist, k)
+    return state
+
+
+def step_in_forked_child(state, dist, k, want):
+    if not np.array_equal(dense_apply_G(state, dist, k), want):
+        raise SystemExit(3)
+
+
+class TestBlockedDenseStep:
+    """dense_apply_G and project_onto_subspace over several blocks of DENSE_BLOCK."""
+
+    @pytest.mark.parametrize("index", [0, DENSE_BLOCK - 1, DENSE_BLOCK, BLOCKED_N - 1],
+                             ids=["first", "block-end", "block-start", "last"])
+    def test_matches_literal_reference(self, blocked, index):
+        dist, state = blocked
+        k = dist.labels[index]
+        before = state.copy()
+        out = dense_apply_G(state, dist, k)
+        np.testing.assert_allclose(out, reference_apply_G(state, dist, k), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(state, before)
+
+    def test_results_do_not_depend_on_the_worker_count(self, blocked, monkeypatch):
+        dist, state = blocked
+        k = dist.labels[DENSE_BLOCK]
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(grover_core, "_usable_cpus", lambda: workers)
+            results.append((dense_apply_G(state, dist, k), g_applied(dist, k, 2)))
+        (step1, twice1), (step2, twice2) = results
+        assert np.array_equal(step1, step2) and np.array_equal(twice1, twice2)
+        projected = []
+        for workers in (1, 2):
+            monkeypatch.setattr(grover_core, "_usable_cpus", lambda: workers)
+            projected.append(project_onto_subspace(twice1, dist, k))
+        assert projected[0] == projected[1]
+
+    def test_projection_matches_recurrence_without_mutating(self, blocked):
+        dist, _ = blocked
+        k = dist.labels[-1]
+        state = g_applied(dist, k, 3)
+        before = state.copy()
+        coeffs = project_onto_subspace(state, dist, k)
+        want = iterate(dist, k, 3).points[3].state
+        assert abs(coeffs.a - want.a) <= 1e-9 and abs(coeffs.b - want.b) <= 1e-9
+        np.testing.assert_array_equal(state, before)
+
+    def test_dimension_mismatch(self, blocked):
+        dist, state = blocked
+        short = state[:-1] / np.linalg.norm(state[:-1])
+        with pytest.raises(DomainError, match="shape"):
+            dense_apply_G(short, dist, 1)
+        with pytest.raises(DomainError, match="shape"):
+            project_onto_subspace(short, dist, 1)
+
+    def test_unnormalized_state_rejected(self, blocked):
+        dist, state = blocked
+        with pytest.raises(DomainError, match="norm"):
+            dense_apply_G(2.0 * state, dist, 1)
+
+    def test_state_outside_subspace_raises(self, blocked):
+        dist, state = blocked
+        with pytest.raises(ConsistencyError, match="subspace"):
+            project_onto_subspace(state, dist, dist.labels[DENSE_BLOCK])
+
+    @pytest.mark.parametrize("index", [DENSE_BLOCK - 1, DENSE_BLOCK, BLOCKED_N - 1],
+                             ids=["block-end", "block-start", "last"])
+    def test_departure_in_one_element_raises(self, blocked, index):
+        dist, _ = blocked
+        state = np.array(dist.amplitudes)
+        state[index] += 1e-6
+        with pytest.raises(ConsistencyError, match="subspace"):
+            project_onto_subspace(state, dist, dist.labels[0])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method")
+    def test_forked_child_steps_after_the_parent_used_the_pool(self, blocked, monkeypatch):
+        # the child inherits the pool but none of its threads
+        monkeypatch.setattr(grover_core, "_usable_cpus", lambda: 2)
+        dist, state = blocked
+        k = dist.labels[1]
+        want = dense_apply_G(state, dist, k)
+        child = multiprocessing.get_context("fork").Process(
+            target=step_in_forked_child, args=(state, dist, k, want))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child hung on a dense step")
+        assert child.exitcode == 0
+
+    def test_import_starts_no_thread(self):
+        code = ("import sys, threading, wgrover; "
+                "print('concurrent.futures' in sys.modules, threading.active_count())")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60).stdout
+        assert out.split() == ["False", "1"]
+
+
+class TestDenseErrorBudget:
+    # The worst |prob - exact| / (r eps) seen over r = 1..30, by |P(k)|^2 =
+    # 1e-6, 1e-3, 0.25, 0.49: 0.18, 586, 1476, 3558 with OpenBLAS's
+    # AVX2/AVX-512 zdot kernels, and 22, 4404, 23523, 15982 with its SSE2
+    # kernel (OPENBLAS_CORETYPE=Nehalem).
+    C = 30000
+
+    @pytest.mark.parametrize("proportion", [1e-6, 1e-3, 0.25, 0.49])
+    def test_thirty_steps_against_50_digit_closed_form(self, proportion):
+        index = DENSE_BLOCK + 7
+        amps = np.full(BLOCKED_N, math.sqrt((1 - proportion) / (BLOCKED_N - 1)), np.complex128)
+        amps[index] = math.sqrt(proportion)
+        dist = AmplitudeDistribution(labels=range(1, BLOCKED_N + 1), amplitudes=amps)
+        k = dist.labels[index]
+        p_k = dist.amplitude(k)
+        eps = np.finfo(float).eps
+        state = dist.amplitudes
+        with mp.workdps(50):
+            theta = mp.asin(mp.mpf(abs(p_k)))
+            for r in range(1, 31):
+                state = dense_apply_G(state, dist, k)
+                coeffs = project_onto_subspace(state, dist, k)
+                prob = abs(coeffs.a * p_k + coeffs.b) ** 2
+                err = abs(mp.mpf(prob) - mp.sin((2 * r + 1) * theta) ** 2)
+                assert err <= self.C * r * eps, f"r = {r}"
