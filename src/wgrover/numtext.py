@@ -16,19 +16,19 @@ per number:
 * An integer v with |v| <= 2^53 is its exact double, whose `%.17g` text is
   its `%d` text (E <= 15, so v * 10^(16 - E) is exact).  Any other `%d`/`%s`
   cell (an int past 2^53, a bool, an object such as "") becomes NaN.
-  An empty `%s` cell keeps only its literal: words 0-6 are zero.
 
-Every cell of a block is laid out in the same seven 8-byte words, and one
-translate deletes their zero bytes.  Words 0 and 6 follow from the sign and
-the exponent E: "-", the "0." to "0.000" of a value below 1, "e-05" to
-"e+290".  Words 1-5 hold twenty digits, the mantissa's 17 last, each with a
-point slot after it.  With n significant digits and q digits before the
-point (E + 1 printed fixed, 1 with an exponent, 0 below 1), the first
-max(n, q) digits show, and the point after the first q when n > q.  A row
-holding a value the kernel cannot certify (an exact decimal tie such as
-2^-25, a NaN or infinity, or a value outside the power table's exponent
-range) is written by `row_format % row` from its original cells, with ""
-in an empty cell.
+Each cell is six 8-byte words, then the words of a long literal, and one
+translate per run of rows deletes their zero bytes.  Words 0-4 hold twenty
+digits, the mantissa's 17 last, each with a point slot after it: with n
+significant digits and q before the point (E + 1 printed fixed, 1 with an
+exponent, 0 below 1), the first max(n, q) show, and the point after the
+first q when n > q.  The first three never show, so word 0's bytes 0-5 hold
+the sign and the "0." to "0.000" of a value below 1.  Word 5 holds the
+exponent ("e-05" to "e+290") and the literal's first three bytes; an empty
+cell keeps only its literal.  A row holding a value the kernel cannot
+certify (a decimal tie such as 2^-25, a NaN or infinity, an exponent outside
+the power table) is written by `row_format % row` from its original cells,
+with "" in an empty cell.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ from functools import cache
 import numpy as np
 
 # Cells formatted per block: BLOCK_CELLS // (cells per row) rows at a time,
-# which bounds the kernel's temporary arrays at about 1 MB.
-BLOCK_CELLS = 2048
+# which bounds the kernel's temporary arrays at about 1 MB (1.1 MB traced on six columns).
+BLOCK_CELLS = 4096
 
-_WORDS = 7
-# The digit of the mantissa that opens each of words 1-5.
+# A cell's literal starts at byte 5 of word 5, after the exponent.
+_LITERAL_AT = 45
+# The digit of the mantissa that opens each of words 0-4.
 _GROUP_START = np.arange(-3, 17, 4, dtype=np.int8).reshape(5, 1, 1)
 
 # Decimal exponents E the %g path certifies: the splitter keeps |x| and
@@ -65,13 +66,15 @@ def format_rows(row_format: str, *columns, empty=None):
     boolean array over the rows; each `%s` cell of its true rows is written
     as the `%s` of "", an empty cell.  Each block is a bytes-like object.
     """
-    head, tails, kinds = _plan(row_format)
+    head, empty_cell, kinds = _plan(row_format)
     if len(columns) != len(kinds):
         raise ValueError(f"{row_format!r} takes {len(kinds)} columns, got {len(columns)}")
     cols = list(map(_column, columns, kinds))
     n_rows = len(cols[0])
     if any(len(c) != n_rows for c in cols):
         raise ValueError("columns differ in length")
+    if empty is not None and (getattr(empty, "dtype", None) != bool or empty.shape != (n_rows,)):
+        raise ValueError(f"empty must be a boolean array of {n_rows} rows")
     blank = [] if empty is None else [j for j, kind in enumerate(kinds) if kind == "s"]
 
     def row(i):
@@ -81,16 +84,16 @@ def format_rows(row_format: str, *columns, empty=None):
         return cells
 
     step = max(1, BLOCK_CELLS // len(cols))
-    out = np.zeros((min(n_rows, step), len(cols), _WORDS + tails.shape[1]), np.uint64)
-    out[..., _WORDS:] = tails
+    out = np.empty((min(n_rows, step),) + empty_cell.shape, np.uint64)
+    out[:] = empty_cell
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
         block = out[:hi - lo]
-        ok = _fill(block, [c[lo:hi] for c in cols])
+        ok = _fill(block, [c[lo:hi] for c in cols], empty_cell[:, 5:6])
         if blank:
             rows = np.flatnonzero(empty[lo:hi])
             for j in blank:
-                block[rows, j, :_WORDS] = 0
+                block[rows, j] = empty_cell[j]
                 ok[j, rows] = True
         yield _emit(head, block, ~ok.all(axis=0), row_format, row, lo)
 
@@ -102,8 +105,8 @@ def _format_row(row_format: str, row: tuple) -> bytes:
 
 @cache
 def _plan(row_format: str) -> tuple[bytes, np.ndarray, list[str]]:
-    """What a row format fixes: its opening literal (head), the literal after
-    each cell as 8-byte words (tails) and its conversions (kinds).
+    """What a row format fixes: its opening literal (head), each column's empty
+    cell, zero but for the literal after it, and its conversions (kinds).
     """
     parts = re.split(r"%(d|s|\.17g)", row_format)
     literals, kinds = [p.encode() for p in parts[::2]], parts[1::2]
@@ -113,9 +116,9 @@ def _plan(row_format: str) -> tuple[bytes, np.ndarray, list[str]]:
     # so a block's text is the opening literal, the nonzero bytes of the
     # words, less the opening literal at the end.
     tails = literals[1:-1] + [literals[-1] + literals[0]]
-    words = np.zeros((len(kinds), -(-max(map(len, tails)) // 8) * 8), np.uint8)
+    words = np.zeros((len(kinds), -(-(_LITERAL_AT + max(map(len, tails))) // 8) * 8), np.uint8)
     for i, text in enumerate(tails):
-        words[i, :len(text)] = np.frombuffer(text, np.uint8)
+        words[i, _LITERAL_AT:_LITERAL_AT + len(text)] = np.frombuffer(text, np.uint8)
     return literals[0], words.view(np.uint64), kinds
 
 
@@ -140,10 +143,9 @@ def _column(col, kind) -> np.ndarray:
     return np.array([float(v) if type(v) is int and abs(v) <= _EXACT else np.nan for v in arr])
 
 
-def _fill(out: np.ndarray, block) -> np.ndarray:
-    """Write the fields of one block of column slices into out; returns the certified cells.
-
-    Per-cell arrays are (cells, rows): one row per column of the block.
+def _fill(out: np.ndarray, block, literal: np.ndarray) -> np.ndarray:
+    """Fill words 0-5 of out from one block of column slices, word 5 with its
+    literal's bytes; returns the certified cells, (cells, rows) as every per-cell array.
     """
     mag, exp, neg, ok = _round17(np.array(block))
     ends, digits, last, keep, before = _tables()
@@ -157,22 +159,20 @@ def _fill(out: np.ndarray, block) -> np.ndarray:
     bound = np.maximum((last.take(groups) + _GROUP_START).max(axis=0), q - 1)
     point = q * (bound >= q)
     words = out.transpose(2, 1, 0)
-    words[[0, 6]] = ends.take(2 * e + neg, axis=1)
-    np.bitwise_and(digits.take(groups), keep.take(18 * bound + point, axis=1), out=words[1:6])
+    np.bitwise_and(digits.take(groups), keep.take(18 * bound + point, axis=1), out=words[:5])
+    prefix, suffix = ends.take(2 * e + neg, axis=1)
+    words[0] |= prefix
+    np.bitwise_or(suffix, literal, out=words[5])
     return ok
 
 
 def _emit(head: bytes, out: np.ndarray, fallback: np.ndarray, row_format: str,
           row, start: int):
-    """The block's bytes: each run of certified rows from its words, each other row by `%`."""
+    """The block's bytes: one translate per run of certified rows, `%` for each other row."""
     pieces, lo = [], 0
     for r in fallback.nonzero()[0].tolist() + [len(out)]:
         if lo < r:
-            words = out[lo:r].ravel()
-            kept = words != 0
-            text = bytearray(8 * int(np.count_nonzero(kept)))
-            np.compress(kept, words, out=np.frombuffer(text, np.uint64))
-            text = text.translate(None, b"\0")
+            text = out[lo:r].tobytes().translate(None, b"\0")
             pieces.append(head + text[:len(text) - len(head)] if head else text)
         if r < len(out):
             pieces.append(_format_row(row_format, row(start + r)))
@@ -182,8 +182,8 @@ def _emit(head: bytes, out: np.ndarray, fallback: np.ndarray, row_format: str,
 
 @cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """Words 0 and 6 by (E, sign), each group's "d.d.d.d." word and last nonzero
-    digit (-100 for none), the masks of words 1-5 by (bound, point), q by E.
+    """The prefix and exponent words by (E, sign), each group's "d.d.d.d." word and
+    last nonzero digit (-100 for none), the masks of words 0-4 by (bound, point), q by E.
     """
     es = range(_EXP_MIN - 1, _EXP_MAX + 3)
     ends = b"".join((sign + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else sign).ljust(8, b"\0")
@@ -195,7 +195,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     dotted = np.full((10_000, 8), ord("."), np.uint8)
     dotted[:, ::2] = digit + ord("0")
     last = np.where(n > 0, 3 - (digit[:, ::-1] != 0).argmax(axis=1), -100).astype(np.int8)
-    # mantissa digit i is byte 2i + 6 of words 1-5, its point slot the next
+    # mantissa digit i is byte 2i + 6 of words 0-4, its point slot the next
     keep = np.zeros((17, 18, 40), np.uint8)
     for i in range(17):
         keep[i:, :, 2 * i + 6] = 255

@@ -6,6 +6,7 @@ Every test joins the kernel's blocks and compares them byte for byte with
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,14 @@ from wgrover.amplitudes import truncated_coherent, uniform
 from wgrover.continuum import fit_one_step_solution, period
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+# Literals of 0-20 printable bytes, and floats of every decade, so of every
+# prefix ("-0.000") and exponent width ("e-05" to "e+308"), and subnormals.
+LITERALS = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="%"),
+                   max_size=20)
+DECADES = st.integers(-320, 308) | st.sampled_from([-5, -4, -3, -2, -1, 16, 17, -100, 100])
+FLOATS = st.one_of(st.floats(), st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), DECADES),
+                   st.floats(-(2.0**-1022), 2.0**-1022))
+INTS = st.one_of(st.integers(-(10**6), 10**6), INT64)
 
 
 def kernel(row_format, *columns, empty=None):
@@ -107,6 +116,32 @@ def test_literals_and_blocks(monkeypatch):
     assert_matches("%s", np.array(["", 5, -7, "", 0], dtype=object))
 
 
+@st.composite
+def tables(draw):
+    """A row format of random literals around 1-4 cells, its columns and an empty mask."""
+    kinds = draw(st.lists(st.sampled_from(["%d", "%s", "%.17g"]), min_size=1, max_size=4))
+    literals = [draw(LITERALS) for _ in range(len(kinds) + 1)]
+    row_format = literals[0] + "".join(map(str.__add__, kinds, literals[1:]))
+    n = draw(st.integers(1, 12))
+    columns = [np.array(draw(st.lists(FLOATS, min_size=n, max_size=n))) if kind == "%.17g"
+               else np.array(draw(st.lists(INTS, min_size=n, max_size=n)), dtype=np.int64)
+               for kind in kinds]
+    empty = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return row_format, kinds, columns, empty
+
+
+@given(tables())
+def test_literals_prefixes_and_exponents_across_blocks(table):
+    # each literal starts in the exponent's word and each prefix shares the
+    # first digits' word; blocks of 7 cells split rows and runs
+    row_format, kinds, columns, empty = table
+    rows = zip(empty, *(c.tolist() for c in columns))
+    want = "".join(row_format % tuple("" if e and kind == "%s" else v for kind, v in zip(kinds, r))
+                   for e, *r in rows)
+    with mock.patch.object(numtext, "BLOCK_CELLS", 7):
+        assert kernel(row_format, *columns, empty=empty) == want.encode()
+
+
 @given(st.lists(st.tuples(st.booleans(), INT64, st.floats()), min_size=1, max_size=40))
 def test_empty_cells_match_percent_of_the_empty_string(rows):
     empty, ks, xs = (np.array(c) for c in zip(*rows))
@@ -125,6 +160,16 @@ def test_empty_cells_in_fallback_rows(fallback_rows):
     assert kernel("%d,%s,%.17g\n", ks, ks, xs, empty=empty) == want
     assert [row[0] for row in fallback_rows] == [5, 2**53 + 1, 7, 2**60]
     assert [row[1] for row in fallback_rows] == ["", "", 7, ""]
+
+
+def test_empty_mask_must_hold_one_boolean_per_row(monkeypatch):
+    # a short mask raises before the first block, not partway through the file
+    monkeypatch.setattr(numtext, "BLOCK_CELLS", 2)
+    ks = np.arange(4)
+    for empty in (np.array([True, False]), np.zeros(5, bool), np.zeros((4, 1), bool),
+                  np.array([1, 0, 0, 1]), [True, False, False, True]):
+        with pytest.raises(ValueError, match="empty"):
+            next(numtext.format_rows("%d,%s\n", ks, ks, empty=empty))
 
 
 def test_unsupported_formats_raise():
