@@ -21,6 +21,15 @@ The continuum clock starts one iteration in, at f_a(0) = a_1 = 1 - 4|P|^2
 and f_b(0) = b_1 = 2P (fit_one_step_solution), so continuum coordinate x
 maps to discrete iteration r = x + 1; predicted_peak_step applies that
 offset.
+
+Domain, against the recurrence (tests/test_continuum.py).  Up to
+|P|^2 = 1/4, predicted_peak_step is within 0.6 of the recurrence's first
+peak r*.  Above 1/4, c1 = 1 - 4|P|^2 < 0, f_b first falls, and its first
+crest comes a whole period late: up to |P|^2 = 1/2 the prediction lies in
+[r* + T - 0.8, r* + T].  The aliased branch |P| > 1/sqrt(2) is not checked.
+The recurrence does not decay and f_a does, so over the first period
+max |f_a(x) - a_{x+1}| is about 1 - e^{-2 pi |P|}, within 5% of 2 pi |P|
+for |P|^2 from 1e-8 to 1e-4.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgrover.amplitudes import AmplitudeDistribution, truncated_coherent, uniform
+from wgrover.amplitudes import AmplitudeDistribution, load_spec, truncated_coherent, uniform
 from wgrover.continuum import (
     ContinuumSolution,
     delta_tilde,
@@ -23,7 +23,7 @@ from wgrover.continuum import (
     predicted_peak_step,
 )
 from wgrover.errors import DomainError
-from wgrover.grover_core import first_peak, iterate
+from wgrover.grover_core import first_crests, first_peak, first_peaks, iterate
 
 P20 = 1 / math.sqrt(20)
 
@@ -210,6 +210,48 @@ class TestPredictedPeak:
             limit = int(math.pi / (4.0 * math.asin(abs(p))) - 0.5) + 5
             r_star, _ = first_peak(iterate(dist, 1, limit))
             assert abs(pred - r_star) <= 1.0, f"p={p}: pred={pred}, discrete={r_star}"
+
+
+def weights_target(proportion: float):
+    """The distribution of weights [proportion, 1 - proportion] and its |P(1)|."""
+    dist = load_spec({"kind": "weights", "weights": [proportion, 1 - proportion]})
+    return dist, abs(dist.amplitude(1))
+
+
+class TestAgainstTheRecurrence:
+    """Where the continuum stands in for the exact dynamics, and where it does not."""
+
+    # fig2's target (uniform N = 20) and fig4's (alpha = 0.8, q1 = 1, N = 20, k = 3)
+    FIGURE_TARGETS = [0.05, abs(truncated_coherent(0.8, 1, 20).amplitude(3)) ** 2]
+
+    def test_peak_prediction_within_0_6_of_the_first_peak_up_to_a_quarter(self):
+        # worst seen 0.564, at |P|^2 = 0.067
+        for proportion in [*np.geomspace(1e-12, 0.25, 441).tolist(), *self.FIGURE_TARGETS]:
+            _, mag = weights_target(proportion)
+            r_star = float(first_peaks(first_crests(mag)))
+            pred = predicted_peak_step(fit_one_step_solution(mag))
+            assert abs(pred - r_star) <= 0.6, f"|P|^2 = {proportion}"
+
+    def test_peak_prediction_a_whole_period_late_above_a_quarter(self):
+        # c1 = 1 - 4|P|^2 < 0: f_b first falls, and its first crest comes a
+        # period after the recurrence's peak; pred - T - r* lies in
+        # [-0.79, -0.01] (-pi/4 at |P|^2 = 1/2, where r* = 1 is a tie)
+        for proportion in np.linspace(0.25, 0.5, 101)[1:].tolist():
+            _, mag = weights_target(proportion)
+            r_star = float(first_peaks(first_crests(mag)))
+            pred = predicted_peak_step(fit_one_step_solution(mag))
+            assert -0.8 <= pred - period(mag) - r_star <= 0.0, f"|P|^2 = {proportion}"
+
+    @pytest.mark.parametrize("proportion", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+    def test_first_period_gap_tracks_two_pi_p(self, proportion):
+        # f_a decays by 1 - e^(-2 pi |P|) over a period and a_r does not:
+        # the gap / (2 pi |P|) is 0.9997 at 1e-8 and 0.968 at 1e-4
+        dist, mag = weights_target(proportion)
+        t_period = period(mag)
+        xs = np.arange(math.floor(t_period) + 1, dtype=np.float64)
+        a = iterate(dist, 1, len(xs)).a
+        gap = np.abs(eval_fa(fit_one_step_solution(mag), xs) - a.real[1:]).max()
+        assert gap == pytest.approx(2 * math.pi * mag, rel=0.05)
 
 
 class TestSolutionType:

@@ -734,3 +734,35 @@ class TestDenseErrorBudget:
                 prob = abs(coeffs.a * p_k + coeffs.b) ** 2
                 err = abs(mp.mpf(prob) - mp.sin((2 * r + 1) * theta) ** 2)
                 assert err <= self.C * r * eps, f"r = {r}"
+
+
+class TestRecurrenceErrorBudget:
+    # The error against sin^2((2r + 1) theta), cos((2r + 1) theta) / cos(theta)
+    # and b_r = sin((2r + 1) theta) - |P| a_r at 50 digits, theta = asin|P(k)|,
+    # for r = 1..30 and 61 checkpoints up to 10^6, in units of r eps.  The worst
+    # seen: iterate's probability 0.74 / cos(theta) and its a_r, b_r 0.50 /
+    # cos(theta)^2 (at |P|^2 = 0.51; 0.47 and 0.46 at 0.9999^2, where
+    # 1 / cos(theta) is 71), and the libm closed form 1.92 (at 0.9999^2).
+    CHECKPOINTS = sorted({*range(1, 31),
+                          *np.round(np.geomspace(1, 10**6, 61)).astype(int).tolist()})
+
+    @pytest.mark.parametrize("proportion", [1e-12, 1e-6, 1e-3, 0.25, 0.49, 0.51, 0.9999**2])
+    def test_iterate_and_the_float_closed_form_against_50_digits(self, proportion):
+        dist = load_spec({"kind": "weights", "weights": [proportion, 1 - proportion]})
+        mag = abs(dist.amplitude(1))
+        traj = iterate(dist, 1, 10**6)
+        eps = np.finfo(float).eps
+        cos_theta = math.sqrt(1 - mag * mag)
+        with mp.workdps(50):
+            theta = mp.asin(mp.mpf(mag))
+            for r in self.CHECKPOINTS:
+                angle = (2 * r + 1) * theta
+                a = mp.cos(angle) / mp.cos(theta)
+                b = mp.sin(angle) - mp.mpf(mag) * a
+                prob = mp.sin(angle) ** 2
+                closed = math.sin((2 * r + 1) * math.asin(mag)) ** 2
+                got = mp.mpf(float(traj.prob[r]))
+                assert abs(got - prob) <= 2 * r * eps / cos_theta, f"r = {r}"
+                assert abs(mp.mpc(complex(traj.a[r])) - a) <= 2 * r * eps / cos_theta**2, f"r = {r}"
+                assert abs(mp.mpc(complex(traj.b[r])) - b) <= 2 * r * eps / cos_theta**2, f"r = {r}"
+                assert abs(closed - prob) <= 4 * r * eps, f"r = {r}"

@@ -1,10 +1,14 @@
 """The number-to-text kernel against Python's `%`, its exact oracle.
 
 Every test joins the kernel's blocks and compares them byte for byte with
-"".join(row_format % row for row in rows).
+"".join(row_format % row for row in rows).  A table of at most SMALL_CELLS
+cells skips the kernel for `%` itself, so `kernel` and the
+`through_the_kernel` fixture set SMALL_CELLS to 0, and the tests of the size
+rule run at its real value.
 """
 
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -29,11 +33,18 @@ INTS = st.one_of(st.integers(-(10**6), 10**6), INT64)
 
 
 def kernel(row_format, *columns, empty=None):
-    return b"".join(numtext.format_rows(row_format, *columns, empty=empty))
+    """The kernel's bytes, whatever the table's size."""
+    with mock.patch.object(numtext, "SMALL_CELLS", 0):
+        return b"".join(numtext.format_rows(row_format, *columns, empty=empty))
 
 
-def oracle(row_format, *columns):
+def oracle(row_format, *columns, empty=None):
+    """row_format % row over the rows, "" in each `%s` cell of a row that empty marks."""
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns))
+    if empty is not None:
+        kinds = re.findall(r"%(d|s|\.17g)", row_format)
+        rows = (tuple("" if e and kind == "s" else v for kind, v in zip(kinds, row))
+                for e, row in zip(empty.tolist(), rows))
     return "".join(row_format % row for row in rows).encode()
 
 
@@ -109,7 +120,7 @@ def test_g17_round_up_carries_into_the_exponent():
     assert kernel("%.17g\n", np.array([1e-243])) == b"1e-243\n"
 
 
-def test_literals_and_blocks(monkeypatch):
+def test_literals_and_blocks(monkeypatch, through_the_kernel):
     monkeypatch.setattr(numtext, "BLOCK_CELLS", 7)
     x = np.linspace(-3.0, 700.0, 101)
     assert_matches('<p k="%d" x="%.17g">%.17g</p>\n', np.arange(101) - 50, x, x[::-1] / 7)
@@ -117,29 +128,63 @@ def test_literals_and_blocks(monkeypatch):
 
 
 @st.composite
-def tables(draw):
-    """A row format of random literals around 1-4 cells, its columns and an empty mask."""
+def tables(draw, cells=None):
+    """A row format of random literals around 1-4 cells, its columns and an empty mask.
+
+    1-12 rows, or with cells given the row count whose cells lie just below,
+    at or just above it; each column then repeats its first 12 values.
+    """
     kinds = draw(st.lists(st.sampled_from(["%d", "%s", "%.17g"]), min_size=1, max_size=4))
     literals = [draw(LITERALS) for _ in range(len(kinds) + 1)]
     row_format = literals[0] + "".join(map(str.__add__, kinds, literals[1:]))
-    n = draw(st.integers(1, 12))
-    columns = [np.array(draw(st.lists(FLOATS, min_size=n, max_size=n))) if kind == "%.17g"
-               else np.array(draw(st.lists(INTS, min_size=n, max_size=n)), dtype=np.int64)
+    if cells is None:
+        n = draw(st.integers(1, 12))
+    else:
+        n = cells // len(kinds) + draw(st.integers(-1, 1))
+    m = min(n, 12)
+    columns = [np.resize(np.array(draw(st.lists(FLOATS, min_size=m, max_size=m))), n)
+               if kind == "%.17g"
+               else np.resize(np.array(draw(st.lists(INTS, min_size=m, max_size=m)), np.int64), n)
                for kind in kinds]
-    empty = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return row_format, kinds, columns, empty
+    empty = np.resize(np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m))), n)
+    return row_format, columns, empty
 
 
 @given(tables())
 def test_literals_prefixes_and_exponents_across_blocks(table):
     # each literal starts in the exponent's word and each prefix shares the
     # first digits' word; blocks of 7 cells split rows and runs
-    row_format, kinds, columns, empty = table
-    rows = zip(empty, *(c.tolist() for c in columns))
-    want = "".join(row_format % tuple("" if e and kind == "%s" else v for kind, v in zip(kinds, r))
-                   for e, *r in rows)
+    row_format, columns, empty = table
     with mock.patch.object(numtext, "BLOCK_CELLS", 7):
-        assert kernel(row_format, *columns, empty=empty) == want.encode()
+        got = kernel(row_format, *columns, empty=empty)
+    assert got == oracle(row_format, *columns, empty=empty)
+
+
+@given(tables(cells=numtext.SMALL_CELLS))
+def test_tables_on_either_side_of_small_cells_match_percent(table):
+    # just below and at SMALL_CELLS the table goes through `%`, just above
+    # through the kernel; the bytes are the same
+    row_format, columns, empty = table
+    got = b"".join(numtext.format_rows(row_format, *columns, empty=empty))
+    assert got == oracle(row_format, *columns, empty=empty)
+
+
+def test_small_tables_skip_the_kernel(monkeypatch, tmp_path):
+    # the paper's 21-label tables and 40-step trajectories go through `%`;
+    # one cell more than SMALL_CELLS goes through the kernel
+    fills = []
+    real_fill = numtext._fill
+    monkeypatch.setattr(numtext, "_fill", lambda *args: fills.append(1) or real_fill(*args))
+    dist = truncated_coherent(0.8, 1, 20)
+    csvio.write_distribution(tmp_path / "dist.csv", dist.labels, dist.proportions())
+    csvio.write_comparison(tmp_path / "comparison.csv", analysis.comparison_table(dist))
+    csvio.write_trajectory(tmp_path / "trajectory.csv", grover_core.iterate(dist, 3, 40))
+    assert 41 * 6 <= numtext.SMALL_CELLS
+    assert fills == []
+    ks = np.arange(numtext.SMALL_CELLS // 2 + 1)
+    got = b"".join(numtext.format_rows("%d,%.17g\n", ks, ks / 7))
+    assert got == oracle("%d,%.17g\n", ks, ks / 7)
+    assert len(fills) == 1
 
 
 @given(st.lists(st.tuples(st.booleans(), INT64, st.floats()), min_size=1, max_size=40))
@@ -182,15 +227,23 @@ def test_unsupported_formats_raise():
 
 
 @pytest.fixture
-def fallback_rows(monkeypatch):
-    """Count the rows that go through the per-row `%` fallback."""
+def through_the_kernel(monkeypatch):
+    """Send every table through the kernel, however small."""
+    monkeypatch.setattr(numtext, "SMALL_CELLS", 0)
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch, through_the_kernel):
+    """Count the rows that go through the kernel's `%` fallback."""
     calls = []
+    format_rows = numtext._format_rows
 
-    def counting(row_format, row):
-        calls.append(row)
-        return row_format.__mod__(row).encode()
+    def counting(row_format, rows):
+        rows = list(rows)
+        calls.extend(rows)
+        return format_rows(row_format, rows)
 
-    monkeypatch.setattr(numtext, "_format_row", counting)
+    monkeypatch.setattr(numtext, "_format_rows", counting)
     return calls
 
 
