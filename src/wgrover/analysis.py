@@ -15,8 +15,6 @@ it flips exactly at |P| = 1/sqrt(2) and always holds below |P| = 1/2.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -52,14 +50,13 @@ class ComparisonRow(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class ComparisonTable(Sequence):
+class ComparisonTable:
     """The comparison as read-only columns, in the column order of the comparison CSV.
 
     k is the label range, discrete_peak is int64 with 0 for no peak within
     DEFAULT_PEAK_BUDGET (an empty CSV cell), and the other columns are
-    float64.  As a Sequence the table is its rows: len() is the label count,
-    and indexing or iterating builds ComparisonRows on demand, with
-    discrete_peak None for an empty cell.
+    float64.  len() is the label count, and iterating builds ComparisonRows
+    on demand, with discrete_peak None for an empty cell.
     """
 
     k: range
@@ -80,22 +77,10 @@ class ComparisonTable(Sequence):
     def __len__(self) -> int:
         return len(self.k)
 
-    def __getitem__(self, i: int) -> ComparisonRow:
-        n = len(self)
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"comparison index out of range for {n} rows")
-        return next(self._rows(i, i + 1))
-
     def __iter__(self):
-        return self._rows(0, len(self))
-
-    def _rows(self, lo: int, hi: int):
-        cells = [col[lo:hi].tolist() for col in self.columns[1:]]
+        cells = [col.tolist() for col in self.columns[1:]]
         cells[3] = [peak or None for peak in cells[3]]  # discrete_peak: 0 is empty
-        return map(ComparisonRow, self.k[lo:hi], *cells)
+        return map(ComparisonRow, self.k, *cells)
 
 
 @dataclass(frozen=True)
@@ -113,29 +98,16 @@ class SpeedupVerdict:
     min_classical_steps: float
 
 
-def _label_metrics(dist: AmplitudeDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|P(k)|, |P(k)|^2 and delta_tilde(k) for every label, in label order.
-
-    np.hypot calls the same libm routine as abs() on a Python complex, so
-    each |P(k)| equals abs(P(k)) bit for bit (np.abs rounds differently).
-    """
-    amps = dist.amplitudes
-    mag = np.hypot(amps.real, amps.imag)
-    return mag, target_proportions(mag, dist.labels), delta_tilde(mag)
-
-
-def global_speedup(dist: AmplitudeDistribution) -> SpeedupVerdict:
-    """Does Grover beat classical search for every target simultaneously?"""
-    _, props, dts = _label_metrics(dist)
-    grover_scales, classical_steps = 1.0 / dts, 1.0 / props
-    g = int(np.argmax(grover_scales))
-    c = int(np.argmin(classical_steps))
+def global_speedup(table: ComparisonTable) -> SpeedupVerdict:
+    """Does Grover beat classical search for every target of the table simultaneously?"""
+    g = int(np.argmax(table.grover_scale))
+    c = int(np.argmin(table.classical_steps))
     return SpeedupVerdict(
-        holds=bool(grover_scales[g] < classical_steps[c]),
-        grover_witness=dist.labels[g],
-        classical_witness=dist.labels[c],
-        max_grover_scale=float(grover_scales[g]),
-        min_classical_steps=float(classical_steps[c]),
+        holds=bool(table.grover_scale[g] < table.classical_steps[c]),
+        grover_witness=table.k[g],
+        classical_witness=table.k[c],
+        max_grover_scale=float(table.grover_scale[g]),
+        min_classical_steps=float(table.classical_steps[c]),
     )
 
 
@@ -149,7 +121,11 @@ def comparison_table(dist: AmplitudeDistribution) -> ComparisonTable:
     bit on some inputs.  A |P(k)|^2 below about 5.6e-309, whose classical
     step count 1/|P(k)|^2 overflows, raises DomainError.
     """
-    mag, props, dts = _label_metrics(dist)
+    amps = dist.amplitudes
+    # np.hypot calls the same libm routine as abs() on a Python complex, so
+    # each |P(k)| equals abs(P(k)) bit for bit (np.abs rounds differently)
+    mag = np.hypot(amps.real, amps.imag)
+    props, dts = target_proportions(mag, dist.labels), delta_tilde(mag)
     crests = grover_core.first_crests(mag)
     filled = crests + 2 <= DEFAULT_PEAK_BUDGET
     peaks = np.zeros(len(props), dtype=np.int64)
@@ -168,8 +144,7 @@ def comparison_table(dist: AmplitudeDistribution) -> ComparisonTable:
     return ComparisonTable(dist.labels, props, classical, grover, peaks, props, dts, *logs)
 
 
-def local_failures(dist: AmplitudeDistribution) -> list[int]:
-    """Labels for which the local speedup condition fails."""
-    _, props, dts = _label_metrics(dist)
-    fails = ~(1.0 / dts < 1.0 / props)
-    return [dist.labels[i] for i in np.flatnonzero(fails).tolist()]
+def local_failures(table: ComparisonTable) -> list[int]:
+    """Labels of the table for which the local speedup condition fails."""
+    fails = ~(table.grover_scale < table.classical_steps)
+    return [table.k[i] for i in np.flatnonzero(fails).tolist()]

@@ -35,14 +35,11 @@ EXIT_NUMERIC = 3
 # Upper bound on --rmax; above the first peak even at |P|^2 = 1e-12 (r ~ 785 000).
 MAX_RMAX = 10**6
 
-# Figure parameters fixed by the reproduction captions.
+# Figure parameters fixed by the reproduction captions: the coherent window
+# (photon numbers 1..21, alpha_re set per figure), its alphas, and the steps
+# of each trajectory figure.
+FIGURE_WINDOW = {"kind": "coherent", "alpha_im": 0.0, "q1": 1, "n": 20}
 FIGURE_ALPHAS = (0.8, 1.6, 2.4, 3.2)
-FIGURE_Q1 = 1
-FIGURE_N = 20
-FIG2_N = 20
-FIG2_TARGET = 1
-FIG4_ALPHA = 0.8
-FIG4_TARGET = 3
 FIG_TRAJECTORY_STEPS = 40
 
 
@@ -81,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                  target=True)
     spec_command("compare", cmd_compare, "classical vs Grover step comparison")
     repro = sub.add_parser("repro", help="reproduce a figure's artifacts")
-    repro.add_argument("figure", choices=["fig2", "fig3", "fig4", "fig5", "fig6"])
+    repro.add_argument("figure", choices=list(FIGURES))
     add_out(repro)
     repro.set_defaults(run=cmd_repro)
     return parser
@@ -144,9 +141,8 @@ def cmd_simulate(args) -> int:
     # a run without a peak exits 3 before anything is written
     r_star, prob = grover_core.first_peak(traj)
     out = _ensure_out(args)
-    csvio.write_trajectory(out / "trajectory.csv", traj)
-    if args.svg:
-        _trajectory_svg(out / "trajectory.svg", traj, f"recurrence, target k={args.target}")
+    title = f"recurrence, target k={args.target}" if args.svg else None
+    _trajectory_artifacts(out, traj, title)
     print(f"r*={r_star} prob={prob:.6g}")
     return EXIT_OK
 
@@ -166,12 +162,10 @@ def cmd_compare(args) -> int:
     dist = _plottable(_load_dist(args), args.svg)
     table = analysis.comparison_table(dist)
     out = _ensure_out(args)
-    csvio.write_comparison(out / "comparison.csv", table)
-    if args.svg:
-        _comparison_svg(out / "comparison_recip.svg", table, "reciprocal step numbers")
-        _comparison_svg(out / "comparison_log.svg", table, "log step numbers", log=True)
-    verdict = analysis.global_speedup(dist)
-    failures = analysis.local_failures(dist)
+    plots = {"recip": "reciprocal step numbers", "log": "log step numbers"} if args.svg else {}
+    _comparison_artifacts(out, "comparison", table, plots)
+    verdict = analysis.global_speedup(table)
+    failures = analysis.local_failures(table)
     print(
         f"global speedup: {verdict.holds} "
         f"(max 1/dt = {verdict.max_grover_scale:.6g} at k={verdict.grover_witness}, "
@@ -182,27 +176,6 @@ def cmd_compare(args) -> int:
     else:
         print("local condition holds for every k")
     return EXIT_OK
-
-
-def _comparison_svg(path: Path, table: analysis.ComparisonTable, title: str,
-                    log: bool = False) -> None:
-    """Classical vs Grover step numbers per label: reciprocals, or logs if log.
-
-    The labels lie in [0, 2^53] (_plottable), so each float label is exact.
-    """
-    ks = np.arange(len(table), dtype=float) + table.k.start
-    if log:
-        series = [("classical", ks, table.ln_classical), ("grover", ks, table.ln_grover)]
-    else:
-        series = [("classical p_k", ks, table.recip_classical),
-                  ("grover dt(k)", ks, table.recip_grover)]
-    svg.line_plot(path, series, title, "label k", "ln(steps)" if log else "1/steps")
-
-
-def _trajectory_svg(path: Path, traj: grover_core.Trajectory, title: str) -> None:
-    rs = np.arange(len(traj.prob), dtype=float)
-    svg.line_plot(path, [("a_r", rs, traj.a.real), ("b_r", rs, traj.b.real)],
-                  title, "iteration r", "coefficient")
 
 
 def _distribution_artifacts(out: Path, stem: str, dist: AmplitudeDistribution,
@@ -230,44 +203,69 @@ def _continuum_artifacts(out: Path, sol, t_period: float, title: str | None) -> 
         svg.line_plot(out / "continuum.svg", [("f_a", xs, fa), ("f_b", xs, fb)], title, "x", "f")
 
 
-def _repro_check(out: Path, dist: AmplitudeDistribution, k: int, title: str) -> None:
-    """Discrete trajectory plus continuum curves for one target."""
-    traj = grover_core.iterate(dist, k, FIG_TRAJECTORY_STEPS)
+def _trajectory_artifacts(out: Path, traj: grover_core.Trajectory, title: str | None) -> None:
+    """trajectory.csv, plus trajectory.svg of the real parts when title is given."""
     csvio.write_trajectory(out / "trajectory.csv", traj)
-    _trajectory_svg(out / "trajectory.svg", traj, f"{title}: recurrence")
-    _continuum_artifacts(out, *_continuum_fit(dist.amplitude(k)), f"{title}: continuum")
+    if title is not None:
+        rs = np.arange(len(traj.prob), dtype=float)
+        series = [("a_r", rs, traj.a.real), ("b_r", rs, traj.b.real)]
+        svg.line_plot(out / "trajectory.svg", series, title, "iteration r", "coefficient")
 
 
-def _coherent_figure_dist(alpha: float) -> AmplitudeDistribution:
-    return load_spec(
-        {"kind": "coherent", "alpha_re": alpha, "alpha_im": 0.0, "q1": FIGURE_Q1, "n": FIGURE_N}
-    )
+def _comparison_artifacts(out: Path, stem: str, table: analysis.ComparisonTable,
+                          plots: dict[str, str]) -> None:
+    """STEM.csv of the table, plus STEM_KIND.svg for each KIND: title in plots.
+
+    KIND "recip" plots the reciprocal step numbers and "log" their logs.  The
+    labels lie in [0, 2^53] (_plottable), so each float label is exact.
+    """
+    csvio.write_comparison(out / f"{stem}.csv", table)
+    for kind, title in plots.items():
+        ks = np.arange(len(table), dtype=float) + table.k.start
+        if kind == "log":
+            series = [("classical", ks, table.ln_classical), ("grover", ks, table.ln_grover)]
+        else:
+            series = [("classical p_k", ks, table.recip_classical),
+                      ("grover dt(k)", ks, table.recip_grover)]
+        svg.line_plot(out / f"{stem}_{kind}.svg", series, title, "label k",
+                      "ln(steps)" if kind == "log" else "1/steps")
+
+
+def _target_figure(spec: dict, k: int, title: str):
+    """A figure of target k's trajectory and continuum curves."""
+    def write(out: Path) -> None:
+        dist = load_spec(spec)
+        traj = grover_core.iterate(dist, k, FIG_TRAJECTORY_STEPS)
+        _trajectory_artifacts(out, traj, f"{title}: recurrence")
+        _continuum_artifacts(out, *_continuum_fit(dist.amplitude(k)), f"{title}: continuum")
+    return write
+
+
+def _window_figure(caption: str, write_panel):
+    """A figure of write_panel(out, "alpha_A", dist, title) for the window at each alpha A."""
+    def write(out: Path) -> None:
+        for alpha in FIGURE_ALPHAS:
+            dist = load_spec({**FIGURE_WINDOW, "alpha_re": alpha})
+            write_panel(out, f"alpha_{alpha}", dist, f"{caption}, alpha={alpha}")
+    return write
+
+
+# repro's figures: each writes its artifacts into the directory it is given.
+FIGURES = {
+    "fig2": _target_figure({"kind": "uniform", "n": 20}, 1, "uniform N=20"),
+    "fig3": _window_figure("coherent distribution", _distribution_artifacts),
+    "fig4": _target_figure({**FIGURE_WINDOW, "alpha_re": 0.8}, 3, "coherent alpha=0.8, k=3"),
+    "fig5": _window_figure("reciprocal steps", lambda out, stem, dist, title: (
+        _comparison_artifacts(out, stem, analysis.comparison_table(dist), {"recip": title}))),
+    "fig6": _window_figure("log steps", lambda out, stem, dist, title: (
+        _comparison_artifacts(out, stem, analysis.comparison_table(dist), {"log": title}))),
+}
 
 
 def cmd_repro(args) -> int:
-    figure = args.figure
-    out = _ensure_out(args, figure)
-    if figure == "fig2":
-        _repro_check(out, load_spec({"kind": "uniform", "n": FIG2_N}), FIG2_TARGET,
-                     "uniform N=20")
-    elif figure == "fig3":
-        for alpha in FIGURE_ALPHAS:
-            _distribution_artifacts(out, f"alpha_{alpha}", _coherent_figure_dist(alpha),
-                                    f"coherent distribution, alpha={alpha}")
-    elif figure == "fig4":
-        _repro_check(out, _coherent_figure_dist(FIG4_ALPHA), FIG4_TARGET,
-                     f"coherent alpha={FIG4_ALPHA}, k={FIG4_TARGET}")
-    else:
-        for alpha in FIGURE_ALPHAS:
-            table = analysis.comparison_table(_coherent_figure_dist(alpha))
-            csvio.write_comparison(out / f"alpha_{alpha}.csv", table)
-            if figure == "fig5":
-                _comparison_svg(out / f"alpha_{alpha}_recip.svg", table,
-                                f"reciprocal steps, alpha={alpha}")
-            else:
-                _comparison_svg(out / f"alpha_{alpha}_log.svg", table,
-                                f"log steps, alpha={alpha}", log=True)
-    print(f"wrote {figure} artifacts under {out}")
+    out = _ensure_out(args, args.figure)
+    FIGURES[args.figure](out)
+    print(f"wrote {args.figure} artifacts under {out}")
     return EXIT_OK
 
 

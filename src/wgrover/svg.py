@@ -154,13 +154,13 @@ def line_plot(
 
 def bar_plot(
     path: Path,
-    labels: list[int],
-    heights: list[float],
+    labels: range,
+    heights: np.ndarray,
     title: str,
     xlabel: str,
     ylabel: str,
 ) -> None:
-    """Write a bar plot over integer labels; heights is a float array or sequence."""
+    """Write a bar plot over a range of integer labels; heights is a float array."""
     heights = np.asarray(heights, dtype=float)
     yhi = float(heights.max()) * 1.05 if len(heights) else 1.0
     xlo, xhi = labels[0] - 0.5, labels[-1] + 0.5

@@ -149,10 +149,10 @@ def test_criterion_6_speedup_verdicts():
     for alpha in (0.8, 1.6, 2.4, 3.2):
         dist = truncated_coherent(alpha, 1, 20)
         assert dist.size == 21
-        failures[alpha] = analysis.local_failures(dist)
+        failures[alpha] = analysis.local_failures(analysis.comparison_table(dist))
     assert failures == {0.8: [1], 1.6: [], 2.4: [], 3.2: []}
 
-    verdict = analysis.global_speedup(truncated_coherent(0.8, 1, 20))
+    verdict = analysis.global_speedup(analysis.comparison_table(truncated_coherent(0.8, 1, 20)))
     assert verdict.holds is False
     assert verdict.classical_witness == 1
 
@@ -162,7 +162,7 @@ def test_criterion_7_threshold_property():
     threshold = 1 / math.sqrt(2)
     for p in np.arange(0.01, 1.0, 0.01):
         p = float(p)
-        verdict = 1 not in analysis.local_failures(two_label_dist(p))
+        verdict = 1 not in analysis.local_failures(analysis.comparison_table(two_label_dist(p)))
         assert verdict == (p < threshold), f"p={p}"
         if p < 0.5:
             assert verdict is True

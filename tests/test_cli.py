@@ -211,7 +211,19 @@ class TestCompareCommand:
         assert run("repro", "fig5", "--out", str(tmp_path)) == 0
         assert run("repro", "fig6", "--out", str(tmp_path)) == 0
         with pytest.raises(AssertionError, match="ComparisonRow"):
-            analysis.comparison_table(load_spec(json.loads(COHERENT08)))[0]
+            next(iter(analysis.comparison_table(load_spec(json.loads(COHERENT08)))))
+
+    def test_label_metrics_are_computed_once(self, tmp_path, monkeypatch):
+        # the table and both verdicts read one delta_tilde pass over the labels
+        calls, delta_tilde = [], analysis.delta_tilde
+
+        def counted(p_abs):
+            calls.append(p_abs)
+            return delta_tilde(p_abs)
+
+        monkeypatch.setattr(analysis, "delta_tilde", counted)
+        assert run("compare", "--inline", COHERENT08, "--svg", "--out", str(tmp_path)) == 0
+        assert len(calls) == 1
 
 
 class TestReproCommand:

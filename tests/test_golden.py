@@ -21,6 +21,7 @@ import json
 import sys
 from pathlib import Path
 
+from wgrover import cli
 from wgrover.cli import main
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
@@ -78,6 +79,10 @@ def produce(out: Path) -> dict[str, str]:
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
+
+
+def test_every_figure_is_pinned():
+    assert list(FIGURES) == list(cli.FIGURES)
 
 
 def test_artifacts_match_golden_hashes(tmp_path):

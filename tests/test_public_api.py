@@ -71,6 +71,17 @@ DELETED = [
     "fit_solution",
     "local_speedup",
     "_label_range",
+    "_label_metrics",
+    "_coherent_figure_dist",
+    "_repro_check",
+    "_trajectory_svg",
+    "_comparison_svg",
+    "FIG2_N",
+    "FIG2_TARGET",
+    "FIG4_ALPHA",
+    "FIG4_TARGET",
+    "FIGURE_Q1",
+    "FIGURE_N",
 ]
 
 
