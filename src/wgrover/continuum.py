@@ -26,10 +26,11 @@ Domain, against the recurrence (tests/test_continuum.py).  Up to
 |P|^2 = 1/4, predicted_peak_step is within 0.6 of the recurrence's first
 peak r*.  Above 1/4, c1 = 1 - 4|P|^2 < 0, f_b first falls, and its first
 crest comes a whole period late: up to |P|^2 = 1/2 the prediction lies in
-[r* + T - 0.8, r* + T].  The aliased branch |P| > 1/sqrt(2) is not checked.
-The recurrence does not decay and f_a does, so over the first period
-max |f_a(x) - a_{x+1}| is about 1 - e^{-2 pi |P|}, within 5% of 2 pi |P|
-for |P|^2 from 1e-8 to 1e-4.
+[r* + T - 0.8, r* + T].  Above 1/2 the recurrence's crest aliases and the
+prediction lags r* by 0 to 0.72 T.  The continuum decays and the
+recurrence does not, so over the first period the largest gaps,
+|f_a(x) - a_{x+1}| and |f_b(x) - b_{x+1}| (b phase-rotated), are within 5%
+of 2 pi |P| and 4.81 |P| for |P|^2 from 1e-8 to 1e-4.
 """
 
 from __future__ import annotations

@@ -41,9 +41,6 @@ SUBSPACE_RESIDUAL_TOL = 1e-8
 STATE_NORM_TOL = 1e-9
 # Above this |P(k)| one step turns sin^2((2r + 1) theta) past its crest.
 ALIAS_EDGE = math.sqrt(0.5)
-# iterate collects this many steps in Python lists before it copies them
-# into its preallocated arrays.
-BLOCK_STEPS = 4096
 # dense_apply_G and project_onto_subspace sweep the state in blocks of this
 # many elements (4 MB of complex128).  The blocks alone fix the order of
 # every sum, so results do not depend on how many threads run them.
@@ -76,7 +73,8 @@ class Trajectory:
 
     a[r], b[r] (complex128) are the coefficients (a_r, b_r) and prob[r]
     (float64) the success probability |a_r P(k) + b_r|^2; r = 0 is always
-    (1, 0) with probability |P(k)|^2.  The arrays are read-only.
+    (1, 0) with probability |P(k)|^2.  a and b are strided views of one
+    array a_0, b_0, a_1, b_1, ...; the arrays and that base are read-only.
     """
 
     a: np.ndarray
@@ -157,27 +155,27 @@ def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     The same scalar complex arithmetic as step, with P(k) checked once and
     the step's constants hoisted; the probabilities follow from the arrays
     after the loop, in success_probability's operation order.  The results
-    are bit-identical to repeated step and success_probability calls.  Steps
-    are collected BLOCK_STEPS at a time into preallocated arrays, so a long
-    run holds 40 bytes per step, not one Python object per value.
+    are bit-identical to repeated step and success_probability calls.  The
+    steps stream into one array a_0, b_0, a_1, b_1, ..., so a long run
+    holds 40 bytes per step and keeps no Python object per step.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     p = dist.amplitude(k)
     factor = 1.0 - 4.0 * float(target_proportions(abs(p), (k,)))
     two_pc, two_p = 2.0 * p.conjugate(), 2.0 * p
-    a_arr = np.empty(r_max + 1, np.complex128)
-    b_arr = np.empty(r_max + 1, np.complex128)
-    a, b = 1.0 + 0.0j, 0.0 + 0.0j
-    a_arr[0], b_arr[0] = a, b
-    for lo in range(1, r_max + 1, BLOCK_STEPS):
-        hi = min(lo + BLOCK_STEPS, r_max + 1)
-        a_s, b_s = [], []
-        for _ in range(lo, hi):
+
+    def states():
+        a, b = 1.0 + 0.0j, 0.0 + 0.0j
+        for _ in range(r_max + 1):
+            yield a
+            yield b
             a, b = factor * a - two_pc * b, b + two_p * a
-            a_s.append(a)
-            b_s.append(b)
-        a_arr[lo:hi], b_arr[lo:hi] = a_s, b_s
+
+    ab = np.fromiter(states(), np.complex128, 2 * (r_max + 1))
+    # the views taken below inherit the read-only flag
+    ab.setflags(write=False)
+    a_arr, b_arr = ab[0::2], ab[1::2]
     # abs(a * p + b) ** 2 with Python's complex product, which numpy's
     # complex multiply does not round the same way
     with np.errstate(invalid="ignore", over="ignore"):
@@ -192,8 +190,7 @@ def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
             "beyond tolerance; the recurrence state is inconsistent"
         )
     np.clip(prob, 0.0, 1.0, out=prob)
-    for arr in (a_arr, b_arr, prob):
-        arr.setflags(write=False)
+    prob.setflags(write=False)
     return Trajectory(a=a_arr, b=b_arr, prob=prob)
 
 

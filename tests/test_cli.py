@@ -505,7 +505,7 @@ class TestOutputDirDefaults:
         assert (tmp_path / "out" / "dist.csv").exists()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from Linux's /proc")
 @pytest.mark.parametrize(
     "argv,csv_name,rows,max_mb,svg_name",
     [
@@ -518,20 +518,26 @@ class TestOutputDirDefaults:
         # one bar per label made a 107 MB SVG and a 376 MB peak
         (["dist", "--inline", json.dumps({"kind": "uniform", "n": MAX_ENTRIES}), "--svg"],
          "dist.csv", MAX_ENTRIES, 150, "dist.svg"),
+        # one comparison row per label; an earlier revision peaked at 566 MB
+        (["compare", "--inline", json.dumps({"kind": "uniform", "n": MAX_ENTRIES})],
+         "comparison.csv", MAX_ENTRIES, 200, None),
     ],
-    ids=["simulate", "simulate-svg", "dist-svg"],
+    ids=["simulate", "simulate-svg", "dist-svg", "compare"],
 )
 def test_longest_run_memory_is_bounded(tmp_path, argv, csv_name, rows, max_mb, svg_name):
-    child = ("import resource, sys\n"
+    # the child's own high-water mark: ru_maxrss would carry the forking
+    # pytest process's peak across exec
+    child = ("import sys\n"
              "from wgrover.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+             "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+             "print(code, status.split()[0])\n")
     env = dict(os.environ, PYTHONPATH=str(Path(wgrover.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", child, *argv, "--out", str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=300, check=True)
-    code, max_rss_kib = proc.stdout.split()[-2:]
+    code, hwm_kib = proc.stdout.split()[-2:]
     assert code == "0"
-    assert int(max_rss_kib) / 1024 < max_mb
+    assert int(hwm_kib) / 1024 < max_mb
     assert sum(1 for _ in open(tmp_path / csv_name)) == rows + 1
     if svg_name is not None:
         # a plot holds O(pixels) shapes however long the run

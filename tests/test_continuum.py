@@ -253,6 +253,43 @@ class TestAgainstTheRecurrence:
         gap = np.abs(eval_fa(fit_one_step_solution(mag), xs) - a.real[1:]).max()
         assert gap == pytest.approx(2 * math.pi * mag, rel=0.05)
 
+    @pytest.mark.parametrize("phase", [0.0, 2.5])
+    @pytest.mark.parametrize("proportion", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+    def test_first_period_gap_of_f_b(self, proportion, phase):
+        # f_b is the phase-rotated b_r, b_r conj(P)/|P|, whose imaginary part
+        # is rounding (seen up to 6.7e-15).  With u = 2|P| x, f_b decays off a
+        # sine of u by 1 - e^(-|P| u) ~ |P| u, so the gap over the first
+        # period is |P| max u|sin u| = 4.81 |P|; gap / (4.81 |P|) is 0.9997
+        # at 1e-8 and 0.971 at 1e-4
+        mag = math.sqrt(proportion)
+        p = mag * complex(math.cos(phase), math.sin(phase))
+        dist = AmplitudeDistribution(labels=range(1, 3), amplitudes=[p, math.sqrt(1 - proportion)])
+        p = dist.amplitude(1)
+        xs = np.arange(math.floor(period(p)) + 1, dtype=np.float64)
+        rotated = iterate(dist, 1, len(xs)).b[1:] * p.conjugate() / abs(p)
+        assert np.abs(rotated.imag).max() < 1e-13
+        u = np.linspace(0.0, 2 * math.pi, 100_001)
+        gap = np.abs(eval_fb(fit_one_step_solution(p), xs) - rotated.real).max()
+        assert gap == pytest.approx((u * np.abs(np.sin(u))).max() * abs(p), rel=0.05)
+
+    def test_aliased_branch_predicts_after_the_first_peak(self):
+        # above |P| = 1/sqrt(2) the recurrence's crest aliases to an early r*
+        # (grover_core.first_crests) and the prediction lags it by 0 to 0.72 T
+        # (seen 8e-5 T at |P|^2 = 1 - 1e-8, 0.714 T just above |P|^2 = 1/2);
+        # on fig4's window, k = 1, |P|^2 = 0.714, `wgrover continuum` prints
+        # x*=6.34887 and `wgrover simulate` r*=2
+        dist = truncated_coherent(0.8, 1, 20)
+        mag = abs(dist.amplitude(1))
+        assert mag > 1 / math.sqrt(2)
+        assert predicted_peak_step(fit_one_step_solution(mag)) == pytest.approx(6.34887, abs=5e-6)
+        assert first_peak(iterate(dist, 1, 10))[0] == 2
+        for above in np.geomspace(0.5, 1e-8, 201)[1:].tolist():
+            _, mag = weights_target(1 - above)
+            assert mag > 1 / math.sqrt(2)
+            r_star = float(first_peaks(first_crests(mag)))
+            lag = predicted_peak_step(fit_one_step_solution(mag)) - r_star
+            assert 0.0 < lag < 0.72 * period(mag), f"|P|^2 = 1 - {above}"
+
 
 class TestSolutionType:
     def test_only_oscillatory_parameters_accepted(self):

@@ -221,8 +221,8 @@ class TestIterate:
         with pytest.raises(ConsistencyError, match="at r = 1 "):
             iterate(uniform(4), 1, 10)
 
-    def test_long_run_spans_several_blocks(self):
-        r_max = 2 * grover_core.BLOCK_STEPS + 7
+    def test_long_run_equals_repeated_step(self):
+        r_max = 8199
         traj = iterate(uniform(20), 1, r_max)
         assert len(traj.prob) == r_max + 1
         tail = TwoDState(1, 0)
@@ -291,7 +291,7 @@ class TestIterateMatchesStepOracle:
 
     def test_arrays_are_read_only(self):
         traj = iterate(uniform(20), 1, 5)
-        for arr in (traj.a, traj.b, traj.prob):
+        for arr in (traj.a, traj.b, traj.a.base, traj.prob):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
