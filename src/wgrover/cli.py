@@ -4,12 +4,14 @@
     wgrover simulate  (--spec FILE | --inline JSON) --target K [--rmax N] [--out DIR] [--svg]
     wgrover continuum (--spec FILE | --inline JSON) --target K [--out DIR] [--svg]
     wgrover compare   (--spec FILE | --inline JSON) [--out DIR] [--svg]
-    wgrover repro     fig2|fig3|fig4|fig5|fig6 [--out DIR]
+    wgrover repro     fig2|fig3|fig4|fig5|fig6|all [--out DIR]
 
 Each command accepts only the options it reads.  CSV files are always
-written; SVG plots on request (always for repro).  Exit codes: 0 success,
-1 validation error (an unread option included), 2 I/O error, 3 numeric
-error (for example no success-probability peak within --rmax).
+written; SVG plots on request (always for repro).  `repro all` writes every
+figure in one process, each under DIR/figN as `repro figN` would.  Exit
+codes: 0 success, 1 validation error (an unread option included), 2 I/O
+error, 3 numeric error (for example no success-probability peak within
+--rmax).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                  target=True)
     spec_command("compare", cmd_compare, "classical vs Grover step comparison")
     repro = sub.add_parser("repro", help="reproduce a figure's artifacts")
-    repro.add_argument("figure", choices=list(FIGURES))
+    repro.add_argument("figure", choices=[*FIGURES, "all"])
     add_out(repro)
     repro.set_defaults(run=cmd_repro)
     return parser
@@ -207,7 +209,7 @@ def _trajectory_artifacts(out: Path, traj: grover_core.Trajectory, title: str | 
     """trajectory.csv, plus trajectory.svg of the real parts when title is given."""
     csvio.write_trajectory(out / "trajectory.csv", traj)
     if title is not None:
-        rs = np.arange(len(traj.prob), dtype=float)
+        rs = range(len(traj.prob))
         series = [("a_r", rs, traj.a.real), ("b_r", rs, traj.b.real)]
         svg.line_plot(out / "trajectory.svg", series, title, "iteration r", "coefficient")
 
@@ -263,9 +265,10 @@ FIGURES = {
 
 
 def cmd_repro(args) -> int:
-    out = _ensure_out(args, args.figure)
-    FIGURES[args.figure](out)
-    print(f"wrote {args.figure} artifacts under {out}")
+    for figure in FIGURES if args.figure == "all" else [args.figure]:
+        out = _ensure_out(args, figure)
+        FIGURES[figure](out)
+        print(f"wrote {figure} artifacts under {out}")
     return EXIT_OK
 
 

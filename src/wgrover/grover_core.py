@@ -122,7 +122,7 @@ def step(state: TwoDState, p_k: complex) -> TwoDState:
     # |P(k)| is degenerate under target_proportions.
     factor = 1.0 - 4.0 * float(target_proportions(abs(p) if cmath.isfinite(p) else math.nan))
     a, b = complex(state.a), complex(state.b)
-    return TwoDState(a=factor * a - 2.0 * p.conjugate() * b, b=b + 2.0 * p * a)
+    return TwoDState(a=complex(factor) * a - 2.0 * p.conjugate() * b, b=b + 2.0 * p * a)
 
 
 def success_probability(state: TwoDState, p_k: complex) -> float:
@@ -162,7 +162,9 @@ def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     p = dist.amplitude(k)
-    factor = 1.0 - 4.0 * float(target_proportions(abs(p), (k,)))
+    # complex(f, 0.0), the operand CPython promotes a float to before a
+    # complex product, without float.__mul__ declining first
+    factor = complex(1.0 - 4.0 * float(target_proportions(abs(p), (k,))))
     two_pc, two_p = 2.0 * p.conjugate(), 2.0 * p
 
     def states():

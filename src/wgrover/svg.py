@@ -4,12 +4,24 @@ Just axes, ticks, series, and a small legend: enough to eyeball a curve
 against a published figure.  Output is a pure function of the data (fixed
 coordinate precision, no ids, no timestamps), so repeated runs produce
 byte-identical files.  A plot holds O(pixels) shapes whatever the data
-size, each coordinate written by Python's `%` as `%.2f`.
+size: a long line series is reduced by M4 a block of points at a time, so
+its temporaries stay at a block's size whatever the series length.
+
+Polyline vertices are written byte-exact with Python's `"%.2f,%.2f "` from
+arrays, not one `%` per number.  For a coordinate v in [0, 1000), v * 100
+is p + e exactly (Dekker's TwoProduct, as in `numtext`) and rounds to the
+integer n, whose digits and separator fill one 8-byte word ("ddd.dd,"
+with zero bytes for the leading zeros); one `bytes.translate` drops the zero
+bytes.  The fraction's own rounding is below 2^-54, so only a coordinate
+whose fraction lies within 2^-45 of 1/2 (a decimal tie such as 62.125), a
+negative one, or one that prints past "999.99" is written by `%` on its own.
+A series of at most SMALL_COORDS numbers goes through `%` whole.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +33,16 @@ PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
 # A line series longer than this is drawn from its M4 aggregate.
 MAX_SERIES_POINTS = 4 * PLOT_W
+# M4 maps and reduces a long series this many points at a time (more only
+# for a pixel column wider than a block).
+BLOCK_POINTS = 2**16
 POINT = "%.2f,%.2f "
+# Series of at most this many numbers are written by `%` whole, below the
+# array path's fixed cost.
+SMALL_COORDS = 160
+# A coordinate whose v * 100 has a fraction within this of 1/2 is left to `%`.
+_TIE = 2.0**-45
+_SPLITTER = 134217729.0  # 2^27 + 1 (Veltkamp)
 BAR = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#1f77b4" stroke="black" '
        'stroke-width="0.5"/>\n')
 
@@ -100,21 +121,107 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return np.r_[0, np.flatnonzero(cols[1:] != cols[:-1]) + 1]
 
 
-def _m4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mask of the first, last, lowest and highest point of each pixel column of
-    x as written (to 0.01 px).  A line through them rasterizes like one through
-    every point (M4: Jugel et al., "M4: A Visualization-Oriented Time Series
-    Data Aggregation", VLDB 2014).
+def _take(xs, lo, hi=None) -> np.ndarray:
+    """xs[lo:hi] as floats, or xs[lo] for an index array lo; a range is not built whole."""
+    if not isinstance(xs, range):
+        return xs[lo] if hi is None else xs[lo:hi]
+    i = np.array(lo, dtype=float) if hi is None else np.arange(lo, hi, dtype=float)
+    i *= xs.step
+    i += xs.start
+    return i
+
+
+def _column_blocks(xs, px) -> list[tuple[int, int, np.ndarray]]:
+    """(lo, hi, starts) of each block of points lo..hi-1 of xs, with the index
+    in the block of the first point of each pixel column of px(xs) as written
+    (to 0.01 px).  A block ends at a column boundary, so no column is split.
     """
-    starts = _columns(np.round(x, 2))
-    keep = np.zeros(len(x), bool)
-    keep[starts] = keep[starts[1:] - 1] = keep[-1] = True
-    sizes = np.diff(starts, append=len(x))
-    for extreme in (np.minimum, np.maximum):
-        # the first point of each column equal to its extreme
-        hits = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), sizes))
-        keep[hits[np.searchsorted(hits, starts)]] = True
-    return keep
+    blocks, lo, size = [], 0, BLOCK_POINTS
+    while lo < len(xs):
+        hi = min(lo + size, len(xs))
+        starts = _columns(np.round(px(_take(xs, lo, hi)), 2))
+        if hi < len(xs):
+            if len(starts) == 1:
+                # one column wider than the block: look further
+                size *= 2
+                continue
+            hi, starts = lo + int(starts[-1]), starts[:-1]
+        blocks.append((lo, hi, starts))
+        lo, size = hi, BLOCK_POINTS
+    return blocks
+
+
+def _m4(ys: np.ndarray, py, blocks) -> np.ndarray:
+    """Indices of the first, last, lowest and highest point of each pixel column
+    of blocks (_column_blocks), the pixel rows py(ys) mapped a block at a time.
+    A line through them rasterizes like one through every point (M4: Jugel et
+    al., "M4: A Visualization-Oriented Time Series Data Aggregation", VLDB 2014).
+    """
+    kept = []
+    for lo, hi, starts in blocks:
+        y = py(ys[lo:hi])
+        keep = np.zeros(hi - lo, bool)
+        keep[starts] = keep[starts[1:] - 1] = keep[-1] = True
+        sizes = np.diff(starts, append=hi - lo)
+        for extreme in (np.minimum, np.maximum):
+            # the first point of each column equal to its extreme
+            hits = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), sizes))
+            keep[hits[np.searchsorted(hits, starts)]] = True
+        kept.append(np.flatnonzero(keep) + lo)
+    return np.concatenate(kept)
+
+
+def _percent(values: list[float], first: int) -> str:
+    """`%.2f` text of coordinates from index first of a vertex list on, each
+    with its separator: "," after an x (even index), " " after a y."""
+    at = 5 * (first & 1)
+    return (POINT * (len(values) // 2 + 1))[at:at + 5 * len(values)] % tuple(values)
+
+
+@cache
+def _digit_words() -> tuple[np.ndarray, ...]:
+    """The words of "ddd." by n // 100 (no leading zeros), of "dd" by n % 100,
+    and of the separators "," and " "; zero bytes elsewhere."""
+    tables = (b"".join((b"%d." % i).rjust(4, b"\0").ljust(8, b"\0") for i in range(1000)),
+              b"".join(b"\0\0\0\0%02d\0\0" % i for i in range(100)),
+              b"\0\0\0\0\0\0,\0\0\0\0\0\0\0 \0")
+    return tuple(np.frombuffer(t, np.uint64) for t in tables)
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """The vertices' text, byte-exact with `(POINT * len(x) % (x0, y0, ...))[:-1]`."""
+    flat = np.column_stack([x, y]).ravel()
+    if len(flat) <= SMALL_COORDS:
+        return _percent(flat.tolist(), 0)[:-1]
+    inside = ~np.signbit(flat) & (flat < 1000.0)
+    a = np.where(inside, flat, 0.0)
+    # a * 100 == p + e exactly (Dekker's TwoProduct; 100 is its own high half)
+    p = a * 100.0
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    e = (a_hi * 100.0 - p) + (a - a_hi) * 100.0
+    whole = np.floor(p)
+    frac = (p - whole) + e
+    n = whole.astype(np.int64) + (frac > 0.5)
+    ok = inside & (np.abs(frac - 0.5) > _TIE) & (n < 100_000)
+    left = ~ok
+    n[left] = 0
+    units, cents, seps = _digit_words()
+    words = units.take(n // 100) | cents.take(n % 100)
+    np.bitwise_or(words.reshape(-1, 2), seps, out=words.reshape(-1, 2))
+    words[left] = 0
+    text = words.tobytes().translate(None, b"\0").decode()
+    bad = np.flatnonzero(left)
+    if len(bad):
+        # a left-out coordinate writes nothing, so its text goes where the
+        # text of the coordinates before it ends
+        ends = np.cumsum(np.where(ok, 5 + (n >= 1000) + (n >= 10_000), 0))[bad]
+        pieces, lo = [], 0
+        for i, at, v in zip(bad.tolist(), ends.tolist(), flat[bad].tolist()):
+            pieces += [text[lo:at], _percent([v], i)]
+            lo = at
+        text = "".join(pieces) + text[lo:]
+    return text[:-1]
 
 
 def line_plot(
@@ -126,23 +233,30 @@ def line_plot(
 ) -> None:
     """Write a multi-series line plot; series = [(name, xs, ys), ...].
 
-    xs and ys are float arrays (or sequences), mapped to pixels elementwise.
+    xs and ys are float arrays (or sequences), mapped to pixels elementwise;
+    an xs range is never built whole.  Series with one xs object share its
+    pixel columns.
     """
-    series = [(name, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-              for name, xs, ys in series]
-    xlo = float(min(xs.min() for _, xs, _ in series))
-    xhi = float(max(xs.max() for _, xs, _ in series))
+    series = [(name, xs if isinstance(xs, range) else np.asarray(xs, dtype=float),
+               np.asarray(ys, dtype=float)) for name, xs, ys in series]
+    xends = [v for _, xs, _ in series
+             for v in ((xs[0], xs[-1]) if isinstance(xs, range) else (xs.min(), xs.max()))]
+    xlo, xhi = float(min(xends)), float(max(xends))
     ylo = float(min(ys.min() for _, _, ys in series))
     yhi = float(max(ys.max() for _, _, ys in series))
     ypad = 0.05 * (yhi - ylo if yhi > ylo else 1.0)
     parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, ylo - ypad, yhi + ypad)
+    blocks = {}
     for i, (name, xs, ys) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        x, y = px(xs), py(ys)
-        if len(x) > MAX_SERIES_POINTS:
-            keep = _m4(x, y)
-            x, y = x[keep], y[keep]
-        pts = (POINT * len(x) % tuple(np.column_stack([x, y]).ravel().tolist()))[:-1]
+        if len(xs) > MAX_SERIES_POINTS:
+            if id(xs) not in blocks:
+                blocks[id(xs)] = _column_blocks(xs, px)
+            keep = _m4(ys, py, blocks[id(xs)])
+            x, y = px(_take(xs, keep)), py(ys[keep])
+        else:
+            x, y = px(_take(xs, 0, len(xs))), py(ys)
+        pts = _points(x, y)
         lx, ly = MARGIN_L + PLOT_W - 130, MARGIN_T + 16 + 16 * i
         parts += [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>',
                   f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '

@@ -255,6 +255,13 @@ class TestReproCommand:
         assert (tmp_path / "fig5" / "alpha_0.8_recip.svg").exists()
         assert (tmp_path / "fig6" / "alpha_0.8_log.svg").exists()
 
+    def test_all_writes_every_figure_in_one_run(self, tmp_path, capsys):
+        # the golden hashes pin the bytes; here each figure is reported once
+        assert run("repro", "all", "--out", str(tmp_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"wrote {fig} artifacts under {tmp_path / fig}" for fig in cli.FIGURES]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(cli.FIGURES)
+
     def test_fig2_byte_determinism(self, tmp_path):
         run("repro", "fig2", "--out", str(tmp_path / "a"))
         run("repro", "fig2", "--out", str(tmp_path / "b"))
@@ -512,9 +519,10 @@ class TestOutputDirDefaults:
         # --rmax 10^6 on uniform(4) held ~200 MB of per-step Python objects
         (["simulate", "--inline", UNIFORM4, "--target", "1", "--rmax", str(MAX_RMAX)],
          "trajectory.csv", MAX_RMAX + 1, 120, None),
-        # one polyline vertex per step made a 27 MB SVG and a 255 MB peak
+        # one polyline vertex per step made a 27 MB SVG and a 255 MB peak, and
+        # full-length pixel arrays before M4 a 110 MB peak
         (["simulate", "--inline", UNIFORM4, "--target", "1", "--rmax", str(MAX_RMAX), "--svg"],
-         "trajectory.csv", MAX_RMAX + 1, 160, "trajectory.svg"),
+         "trajectory.csv", MAX_RMAX + 1, 100, "trajectory.svg"),
         # one bar per label made a 107 MB SVG and a 376 MB peak
         (["dist", "--inline", json.dumps({"kind": "uniform", "n": MAX_ENTRIES}), "--svg"],
          "dist.csv", MAX_ENTRIES, 150, "dist.svg"),

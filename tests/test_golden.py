@@ -2,11 +2,11 @@
 
 `test_criterion_8` only compares two fresh runs with each other, so a change
 that alters every run the same way would slip past it. Here the sha256 of
-each `repro fig2..fig6` artifact, of the files and standard output of
-`compare --svg` on two fixed weight tables, of the files of `dist --svg` on
-the heavy table, and of `simulate --svg` (5001 rows with imaginary parts)
-and `continuum --svg` on a complex-alpha coherent window, is checked against
-the manifest `golden_sha256.json`.
+each `repro fig2..fig6` artifact (all written by one `repro all`), of the
+files and standard output of `compare --svg` on two fixed weight tables, of
+the files of `dist --svg` on the heavy table, and of `simulate --svg` (5001
+rows with imaginary parts) and `continuum --svg` on a complex-alpha coherent
+window, is checked against the manifest `golden_sha256.json`.
 
 An intended output change must be named in CHANGES.md; regenerate the
 manifest with
@@ -62,8 +62,7 @@ def run_pinned(out: Path, name: str, *argv: str) -> None:
 
 def produce(out: Path) -> dict[str, str]:
     """Run every pinned command under `out`; map relative path to sha256."""
-    for fig in FIGURES:
-        assert main(["repro", fig, "--out", str(out)]) == 0
+    assert main(["repro", "all", "--out", str(out)]) == 0
     for name, weights in (("compare", fixed_table()), ("compare_heavy", HEAVY_TABLE)):
         spec = json.dumps({"kind": "weights", "weights": weights})
         run_pinned(out, name, "compare", "--inline", spec)

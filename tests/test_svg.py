@@ -7,12 +7,22 @@ pixel row a polyline touches, and the reduced polyline of a written SVG
 must touch exactly the rows of the full one.  The full polyline is the same
 plot written with the reduction switched off, so both carry the same
 two-decimal coordinates.
+
+The vertex text is written from arrays; Python's `POINT % (x0, y0, ...)` is
+its exact oracle, and only the coordinates the array path cannot certify
+(decimal ties, negatives, values that print past "999.99") may go to `%`.
 """
 
+import contextlib
+import math
 import re
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wgrover import svg
 from wgrover.amplitudes import MAX_ENTRIES
@@ -104,10 +114,135 @@ def test_reduced_series_cover_the_same_pixels(monkeypatch, tmp_path, write):
         np.testing.assert_array_equal(hi_r, hi_f)
 
 
+def test_blocks_and_ranges_write_the_same_plot(tmp_path):
+    # 20 000 points, 4 000 of them crowded into one pixel column wider than a block
+    rng = np.random.default_rng(11)
+    xs = np.sort(np.concatenate([rng.uniform(0.0, 7.0, 16_000), rng.uniform(3.0, 3.001, 4_000)]))
+    walks = np.cumsum(rng.standard_normal((2, len(xs))), axis=1)
+
+    def plot(name, xs):
+        svg.line_plot(tmp_path / name, [("a", xs, walks[0]), ("b", xs, walks[1])], "t", "x", "y")
+        return (tmp_path / name).read_bytes()
+
+    whole = plot("whole.svg", xs)
+    made, column_blocks = [], svg._column_blocks
+
+    def recorded(xs, px):
+        made.append(column_blocks(xs, px))
+        return made[-1]
+
+    blocks = mock.patch.object(svg, "BLOCK_POINTS", 1000)
+    with blocks, mock.patch.object(svg, "_column_blocks", recorded):
+        assert plot("blocks.svg", xs) == whole
+    # the two series share one column structure, and the crowded column is one block
+    assert len(made) == 1 and len(made[0]) > 10
+    assert max(hi - lo for lo, hi, _ in made[0]) >= 4_000
+    # a range of x values maps like its float array, a block at a time
+    steps = np.arange(len(xs), dtype=float)
+    with blocks:
+        assert plot("range.svg", range(len(xs))) == plot("array.svg", steps)
+
+
 def test_short_series_are_written_whole(tmp_path):
     xs = np.arange(svg.MAX_SERIES_POINTS, dtype=float)
     svg.line_plot(tmp_path / "p.svg", [("s", xs, np.sin(xs))], "t", "x", "y")
     assert len(polylines(tmp_path / "p.svg")[0]) == svg.MAX_SERIES_POINTS
+
+
+def percent_of(flat):
+    """The oracle: the text of `POINT % (x0, y0, x1, y1, ...)` less its last space."""
+    return (svg.POINT * (len(flat) // 2) % tuple(flat.tolist()))[:-1]
+
+
+@contextlib.contextmanager
+def sent_to_percent():
+    """The list of coordinates svg sends to `%` while the block runs."""
+    sent, percent = [], svg._percent
+
+    def recorded(values, first):
+        sent.extend(values)
+        return percent(values, first)
+
+    with mock.patch.object(svg, "_percent", recorded):
+        yield sent
+
+
+def written(flat, small=0):
+    """svg's vertex text of the interleaved coordinates flat, and the
+    coordinates it sent to `%`, with SMALL_COORDS set to small."""
+    with sent_to_percent() as sent, mock.patch.object(svg, "SMALL_COORDS", small):
+        return svg._points(flat[0::2], flat[1::2]), sent
+
+
+def needs_percent(v):
+    """Outside [0, 1000), printed past "999.99", or |v| * 100 within 2^-44 of a half."""
+    if math.isnan(v) or math.copysign(1.0, v) < 0 or v >= 1000 or "%.2f" % v == "1000.00":
+        return True
+    scaled = Fraction(v) * 100
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= Fraction(1, 2**44)
+
+
+# [0, 1000), exact ties m/8, and the edges of the digit layout
+IN_RANGE = st.one_of(st.floats(0.0, 1000.0, exclude_max=True),
+                     st.integers(0, 7999).map(lambda m: m / 8),
+                     st.sampled_from([0.0, 0.004, 0.005, 9.995, 99.995, 999.994, 999.995]))
+# negatives (-0.0 included), values of 1000 and more, NaN and the infinities
+OUTSIDE = st.one_of(st.floats(max_value=-0.0), st.floats(min_value=1000.0),
+                    st.sampled_from([-0.0, -0.004, 1000.0, math.nan]))
+
+
+@given(st.lists(st.one_of(IN_RANGE, IN_RANGE, IN_RANGE, OUTSIDE), min_size=1, max_size=30)
+       .map(lambda v: v + v[-1:] * (len(v) % 2)))
+def test_vertex_text_matches_percent(values):
+    flat = np.array(values)
+    text, sent = written(flat)
+    assert text == percent_of(flat)
+    # each coordinate goes to `%` on its own, and only when the array path cannot write it
+    assert all(map(needs_percent, sent))
+    assert sum(map(needs_percent, values)) == len(sent)
+
+
+@given(st.integers(1, 10**7), st.integers(0, 10**7), st.integers(1, 200))
+def test_pixel_grids_match_percent(n, first, points):
+    # the x pixels of n + 1 grid points, 62 + r * 562 / n, from r = first on
+    r = np.arange(first, first + 2 * points) % (n + 1)
+    flat = svg.MARGIN_L + r * svg.PLOT_W / n
+    text, sent = written(flat)
+    assert text == percent_of(flat)
+    assert all(map(needs_percent, sent))
+
+
+@pytest.mark.parametrize("size", [svg.SMALL_COORDS, svg.SMALL_COORDS + 2])
+def test_series_at_the_size_rule_match_percent(size):
+    flat = np.random.default_rng(size).uniform(0.0, 1000.0, size)
+    text, sent = written(flat, small=svg.SMALL_COORDS)
+    assert text == percent_of(flat)
+    # a series of at most SMALL_COORDS numbers goes through `%` whole
+    assert len(sent) == (size if size <= svg.SMALL_COORDS else 0)
+
+
+@pytest.mark.parametrize("spec, target", [
+    (UNIFORM4, "1"),
+    ('{"kind":"coherent","alpha_re":0.9178106247413862,"alpha_im":0.7730612246852292,'
+     '"q1":0,"n":12}', "6"),
+], ids=["uniform4", "complex-coherent"])
+def test_simulate_grid_sends_only_true_ties_to_percent(tmp_path, spec, target):
+    # the x grid 62 + r * 562 / 20000 lands about 1e-12 from a decimal tie at
+    # r = 50; only coordinates that are exact ties may be left to `%`
+    series, points = [], svg._points
+
+    def recorded_points(x, y):
+        series.append(np.column_stack([x, y]).ravel())
+        return points(x, y)
+
+    with sent_to_percent() as sent, mock.patch.object(svg, "_points", recorded_points):
+        assert main(["simulate", "--inline", spec, "--target", target, "--rmax", "20000",
+                     "--svg", "--out", str(tmp_path)]) == 0
+    assert len(series) == 2 and all(len(flat) > svg.SMALL_COORDS for flat in series)
+    ties = [v for flat in series for v in flat.tolist()
+            if (Fraction(v) * 100).denominator == 2]
+    assert len(sent) <= len(ties)
+    assert all((Fraction(v) * 100).denominator == 2 for v in sent)
 
 
 def bars(path):
