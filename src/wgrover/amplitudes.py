@@ -26,6 +26,8 @@ NORM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-6
 # Upper bound on a spec's n and weights list, checked before any allocation.
 MAX_ENTRIES = 10**6
+# |P|^2 is summed by np.vdot over pieces this long: no BLAS order errs past 4.5e-13 in one.
+NORM_PIECE = 1 << 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +59,8 @@ class AmplitudeDistribution:
             )
         if amps.ndim != 1 or len(labels) != amps.shape[0]:
             raise DomainError("labels and amplitudes must be 1-d and equally long")
-        total = float(np.sum(np.abs(amps) ** 2))
+        total = sum(float(np.vdot(amps[i:i + NORM_PIECE], amps[i:i + NORM_PIECE]).real)
+                    for i in range(0, len(amps), NORM_PIECE))
         # a NaN or infinite amplitude makes the sum NaN or infinite
         if not math.isfinite(total):
             raise DomainError(f"amplitudes must be finite: sum |P|^2 = {total!r}")

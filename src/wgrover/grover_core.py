@@ -9,8 +9,8 @@ Two independent realizations of the same dynamics live here:
 
 * a matrix-free dense oracle applying G = U_D U_k to a full state vector
   (one component flip, one rank-1 reflection, O(N) per step).  It makes two
-  sweeps over fixed blocks of DENSE_BLOCK elements, run on a thread per
-  usable CPU, and its results do not depend on how many threads ran them.
+  sweeps over fixed tiles of DENSE_TILE elements, shared out among a thread
+  per usable CPU, and its results do not depend on how many threads ran them.
 
 Because |D> and |k> are not orthogonal, the measurable success amplitude
 is a*P(k) + b rather than b alone; all probabilities reported here use
@@ -25,6 +25,7 @@ without stepping.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 import os
@@ -41,15 +42,10 @@ SUBSPACE_RESIDUAL_TOL = 1e-8
 STATE_NORM_TOL = 1e-9
 # Above this |P(k)| one step turns sin^2((2r + 1) theta) past its crest.
 ALIAS_EDGE = math.sqrt(0.5)
-# dense_apply_G and project_onto_subspace sweep the state in blocks of this
-# many elements (4 MB of complex128).  The blocks alone fix the order of
-# every sum, so results do not depend on how many threads run them.
-DENSE_BLOCK = 1 << 18
-# project_onto_subspace builds its residual this many elements at a time.
-# Each pool thread's malloc arena keeps the freed temporaries: at a whole
-# DENSE_BLOCK the threads raised the peak RSS of a 10^6-element run by
-# 8.7 MB on 2 CPUs, at this size by 1.2 MB.
-RESIDUAL_PIECE = 1 << 13
+# dense_apply_G and project_onto_subspace sweep tiles of this many elements:
+# a step's v, d and out tiles (512 KB each) fit in a 2 MB L2.  The tiles alone
+# fix every sum's order, so results depend on neither the thread count nor L2.
+DENSE_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -277,36 +273,48 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# (pid, executor) of the pool _map_blocks built, or None before its first use.
-# Two threads that both make the first call may build two pools; the spare
-# one idles, and no result depends on which pool ran the blocks.
+# (pid, executor) of the pool _map_tiles built, or None before its first use.  Two
+# threads that both make the first call may build two pools; the spare one idles.
 _pool = None
 
 
-def _map_blocks(fn, n: int) -> list:
-    """fn(s) for the slices s of DENSE_BLOCK elements that tile range(n), in block order.
+def _map_tiles(fn, n: int) -> list:
+    """fn(s) for the slices s of DENSE_TILE elements that tile range(n), in tile order.
 
-    The blocks run inline when there is one of them or one usable CPU, and
-    otherwise on a thread pool with one thread per usable CPU; numpy
-    releases the GIL inside vdot and ufuncs on blocks this size.  The pool
-    is built on first use and keyed by the process id, so a forked child,
-    which inherits the pool but none of its threads, builds its own.
+    The caller and a pool thread per other usable CPU take tiles from a shared
+    counter, so none waits on tiles a busy CPU holds; numpy frees the GIL on them.
+    The pool is built on first use and keyed by the pid, as a fork drops its threads.
     """
     global _pool
-    blocks = [slice(lo, min(lo + DENSE_BLOCK, n)) for lo in range(0, n, DENSE_BLOCK)]
-    workers = _usable_cpus()
-    if len(blocks) <= 1 or workers <= 1:
-        return [fn(s) for s in blocks]
-    if _pool is None or _pool[0] != os.getpid():
+    tiles = [slice(lo, min(lo + DENSE_TILE, n)) for lo in range(0, n, DENSE_TILE)]
+    parts, order, cpus = [None] * len(tiles), itertools.count(), _usable_cpus()
+    helpers = range(min(cpus, len(tiles)) - 1)
+
+    def work(_=None):
+        while (i := next(order)) < len(tiles):  # next() on a count is atomic under the GIL
+            parts[i] = fn(tiles[i])
+
+    if helpers and (_pool is None or _pool[0] != os.getpid()):
         from concurrent.futures import ThreadPoolExecutor  # 8 ms of import, paid on first use
 
-        _pool = (os.getpid(), ThreadPoolExecutor(workers, thread_name_prefix="wgrover-dense"))
-    return list(_pool[1].map(fn, blocks))
+        _pool = (os.getpid(), ThreadPoolExecutor(cpus - 1, thread_name_prefix="wgrover-dense"))
+    done = _pool[1].map(work, helpers) if helpers else ()
+    work()
+    list(done)  # waits for the helpers, and raises what they raised
+    return parts
 
 
-def _in_block_order(parts):
+def _in_tile_order(parts):
     """Sum of parts, left to right from the first (0 + -0.0 would drop a sign)."""
     return sum(parts[1:], parts[0])
+
+
+def _dense_state(state, dist: AmplitudeDistribution) -> np.ndarray:
+    """state as a complex128 array; raises unless its shape is dist's."""
+    v = np.asarray(state, dtype=np.complex128)
+    if v.shape != dist.amplitudes.shape:
+        raise DomainError(f"state has shape {v.shape}, distribution has {dist.amplitudes.shape}")
+    return v
 
 
 def dense_apply_G(state: np.ndarray, dist: AmplitudeDistribution, k: int) -> np.ndarray:
@@ -315,36 +323,32 @@ def dense_apply_G(state: np.ndarray, dist: AmplitudeDistribution, k: int) -> np.
     U_k flips the target component; U_D reflects about |D>, realized as
     2 <D|w> D - w with w = U_k v.  Fused so w is never built:
     <D|w> = <D|v> - 2 conj(D_k) v_k, and G v = c D - v + 2 v_k e_k with
-    c = 2 <D|w>.  Two sweeps over blocks of DENSE_BLOCK elements: the first
-    takes <v|v> and <D|v> of each block while it is in cache, the second
+    c = 2 <D|w>.  Two sweeps over tiles of DENSE_TILE elements: the first
+    takes <v|v> and <D|v> of each tile while it is in cache, the second
     writes c D - v into one new array.  Norm is preserved to rounding.
     """
-    v = np.asarray(state, dtype=np.complex128)
-    if v.shape != dist.amplitudes.shape:
-        raise DomainError(
-            f"state has shape {v.shape}, distribution has {dist.amplitudes.shape}"
-        )
+    v = _dense_state(state, dist)
     d = dist.amplitudes
 
     def sums(s):
         vs = v[s]
         return np.vdot(vs, vs).real, np.vdot(d[s], vs)
 
-    vv, dv = zip(*_map_blocks(sums, v.size))
-    norm = math.sqrt(_in_block_order(vv))
+    vv, dv = zip(*_map_tiles(sums, v.size))
+    norm = math.sqrt(_in_tile_order(vv))
     # not (x <= tol), so that a NaN norm fails the check too
     if not abs(norm - 1.0) <= STATE_NORM_TOL:
         raise DomainError(f"state norm {norm!r} is not 1 within {STATE_NORM_TOL}")
     idx = dist.index_of(k)
     v_k = v[idx]
-    c = 2.0 * (_in_block_order(dv) - 2.0 * d[idx].conjugate() * v_k)
+    c = 2.0 * (_in_tile_order(dv) - 2.0 * d[idx].conjugate() * v_k)
     out = np.empty_like(v)
 
     def reflect(s):
         np.multiply(c, d[s], out=out[s])
         np.subtract(out[s], v[s], out=out[s])
 
-    _map_blocks(reflect, v.size)
+    _map_tiles(reflect, v.size)
     out[idx] += 2.0 * v_k
     return out
 
@@ -357,38 +361,30 @@ def project_onto_subspace(
     The pair {|D>, |e_k>} is not orthogonal (overlap P(k)), so this is a
     least-squares solve; a residual above 1e-8, or a NaN one, means the
     state left the 2-d subspace, which G can never do, and raises.  <D|v>
-    and the squared residual are summed over blocks of DENSE_BLOCK
-    elements, as in dense_apply_G.
+    and the squared residual are summed over tiles of DENSE_TILE elements,
+    as in dense_apply_G.
     """
-    v = np.asarray(state, dtype=np.complex128)
-    if v.shape != dist.amplitudes.shape:
-        raise DomainError(
-            f"state has shape {v.shape}, distribution has {dist.amplitudes.shape}"
-        )
+    v = _dense_state(state, dist)
     idx = dist.index_of(k)
     p_k = complex(dist.amplitudes[idx])
     # |P(k)| = 1 would make {D, e_k} colinear and the Gram system singular
     det = 1.0 - float(target_proportions(abs(p_k), (k,)))
     d = dist.amplitudes
-    rhs_d = _in_block_order(_map_blocks(lambda s: np.vdot(d[s], v[s]), v.size))  # <D|v>
+    rhs_d = _in_tile_order(_map_tiles(lambda s: np.vdot(d[s], v[s]), v.size))  # <D|v>
     rhs_k = complex(v[idx])  # <e_k|v>
     a = (rhs_d - p_k.conjugate() * rhs_k) / det
     b = (rhs_k - p_k * rhs_d) / det
 
     def squared_residual(s):
         # errstate is per thread; a NaN or infinite state fails the check below
-        total = 0.0
         with np.errstate(invalid="ignore", over="ignore"):
-            for lo in range(s.start, s.stop, RESIDUAL_PIECE):
-                t = slice(lo, min(lo + RESIDUAL_PIECE, s.stop))
-                recon = a * d[t]
-                if t.start <= idx < t.stop:
-                    recon[idx - t.start] += b
-                recon -= v[t]
-                total += np.vdot(recon, recon).real
-        return total
+            recon = a * d[s]
+            if s.start <= idx < s.stop:
+                recon[idx - s.start] += b
+            recon -= v[s]
+            return np.vdot(recon, recon).real
 
-    residual = math.sqrt(_in_block_order(_map_blocks(squared_residual, v.size)))
+    residual = math.sqrt(_in_tile_order(_map_tiles(squared_residual, v.size)))
     if not residual <= SUBSPACE_RESIDUAL_TOL:
         raise ConsistencyError(
             f"state left the 2-d subspace span{{D, e_k}}: residual {residual!r}"

@@ -125,7 +125,7 @@ def _take(xs, lo, hi=None) -> np.ndarray:
     """xs[lo:hi] as floats, or xs[lo] for an index array lo; a range is not built whole."""
     if not isinstance(xs, range):
         return xs[lo] if hi is None else xs[lo:hi]
-    i = np.array(lo, dtype=float) if hi is None else np.arange(lo, hi, dtype=float)
+    i = np.array(lo, dtype=float) if hi is None else np.arange(lo, min(hi, len(xs)), dtype=float)
     i *= xs.step
     i += xs.start
     return i
@@ -266,6 +266,12 @@ def line_plot(
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+def _tallest(x: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel column floor(x) of ascending x, and the largest of its heights."""
+    starts = _columns(x)
+    return np.floor(x[starts]), np.maximum.reduceat(heights, starts)
+
+
 def bar_plot(
     path: Path,
     labels: range,
@@ -279,15 +285,14 @@ def bar_plot(
     yhi = float(heights.max()) * 1.05 if len(heights) else 1.0
     xlo, xhi = labels[0] - 0.5, labels[-1] + 0.5
     parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, 0.0, yhi)
-    width = 0.8 / (xhi - xlo) * PLOT_W
-    ks = np.asarray(labels, dtype=float)
-    if len(ks) > PLOT_W:
-        # one bar per pixel column of the bar centres, as tall as its tallest
-        starts = _columns(px(ks))
-        heights = np.maximum.reduceat(heights, starts)
-        xs, width = np.floor(px(ks[starts])), 1.0
+    if len(labels) > PLOT_W:
+        # each pixel column's tallest bar, a block at a time, then across block edges
+        blocks = (_tallest(px(_take(labels, lo, lo + BLOCK_POINTS)), heights[lo:lo + BLOCK_POINTS])
+                  for lo in range(0, len(labels), BLOCK_POINTS))
+        xs, heights = _tallest(*map(np.concatenate, zip(*blocks)))
+        width = 1.0
     else:
-        xs = px(ks - 0.4)
+        xs, width = px(_take(labels, 0, len(labels)) - 0.4), 0.8 / (xhi - xlo) * PLOT_W
     ys = py(heights)
     bars = np.column_stack([xs, ys, np.full(len(ys), width), MARGIN_T + PLOT_H - ys])
     parts.append((BAR * len(ys) % tuple(bars.ravel().tolist()))[:-1])

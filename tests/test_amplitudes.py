@@ -1,7 +1,11 @@
 """Tests for distribution construction, normalization, and queries."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +236,28 @@ class TestIndexOf:
             truncated_coherent(0.8, 5, 9).index_of(k)
 
 
+# Names the OpenBLAS kernels that numpy loaded and, if they are just Nehalem
+# (SSE2), builds uniform(786437) and uniform(10^6) and prints "built".
+SSE2_CHILD = """
+import ctypes
+import wgrover
+
+cores = set()
+for path in {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line}:
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                 "openblas_get_corename64_", "openblas_get_corename"):
+        getter = getattr(ctypes.CDLL(path), name, None)
+        if getter is not None:
+            getter.restype = ctypes.c_char_p
+            cores.add(getter().decode())
+print(*sorted(cores), end=" ")
+if cores == {"Nehalem"}:
+    wgrover.uniform(786437)
+    wgrover.uniform(10**6)
+    print("built", end="")
+"""
+
+
 class TestInvariants:
     @pytest.mark.parametrize(
         "dist",
@@ -307,6 +333,30 @@ class TestInvariants:
         amps = np.array([bad, 0.5, 0.5], dtype=np.complex128)
         with pytest.raises(DomainError, match="finite"):
             AmplitudeDistribution(labels=range(1, 4), amplitudes=amps)
+
+    @pytest.mark.parametrize("bad, match", [(math.nan, "finite"), (math.inf, "finite"),
+                                            (1e155, "finite"), (1 + 2e-12, "normalized"),
+                                            (1 - 2e-12, "normalized")],
+                             ids=["nan", "inf", "overflow", "2e-12-over", "2e-12-under"])
+    def test_one_bad_amplitude_or_sum_in_a_million_rejected(self, bad, match):
+        amps = np.full(10**6, 1e-3, dtype=np.complex128)
+        if match == "normalized":
+            amps *= math.sqrt(bad)
+        else:
+            amps[654_321] = bad
+        with pytest.raises(DomainError, match=match):
+            AmplitudeDistribution(labels=range(1, 10**6 + 1), amplitudes=amps)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_unit_sum_holds_on_the_sse2_blas_kernel(self):
+        # one np.vdot over all of uniform(10^6) on OpenBLAS's SSE2 kernel sums
+        # |P|^2 to 1 - 1.3e-11, past NORM_TOL; the check sums it in pieces
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+               "PYTHONPATH": str(Path(amplitudes.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", SSE2_CHILD], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        if not out.endswith("built"):
+            pytest.skip(f"numpy's BLAS did not run OpenBLAS's Nehalem kernel: {out!r}")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_proportions_rejected(self, bad):

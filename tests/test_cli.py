@@ -523,9 +523,11 @@ class TestOutputDirDefaults:
         # full-length pixel arrays before M4 a 110 MB peak
         (["simulate", "--inline", UNIFORM4, "--target", "1", "--rmax", str(MAX_RMAX), "--svg"],
          "trajectory.csv", MAX_RMAX + 1, 100, "trajectory.svg"),
-        # one bar per label made a 107 MB SVG and a 376 MB peak
+        # one bar per label made a 107 MB SVG and a 376 MB peak, and
+        # full-length label and pixel arrays before the column reduction a
+        # 100 MB peak
         (["dist", "--inline", json.dumps({"kind": "uniform", "n": MAX_ENTRIES}), "--svg"],
-         "dist.csv", MAX_ENTRIES, 150, "dist.svg"),
+         "dist.csv", MAX_ENTRIES, 100, "dist.svg"),
         # one comparison row per label; an earlier revision peaked at 566 MB
         (["compare", "--inline", json.dumps({"kind": "uniform", "n": MAX_ENTRIES})],
          "comparison.csv", MAX_ENTRIES, 200, None),

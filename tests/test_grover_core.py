@@ -40,9 +40,15 @@ from wgrover.grover_core import (
 )
 
 P20 = 1 / math.sqrt(20)
-DENSE_BLOCK = grover_core.DENSE_BLOCK
-# four blocks for the dense oracle, the last one partial
-BLOCKED_N = 3 * DENSE_BLOCK + 5
+TILE = grover_core.DENSE_TILE
+# eight tiles for the dense oracle, the last one partial
+TILED_N = 7 * TILE + 5
+# elements on both sides of tile edges: the first tile's, a middle one's, the partial tile's
+EDGES = {"first": 0, "tile-end": TILE - 1, "tile-start": TILE,
+         "mid-end": 4 * TILE - 1, "mid-start": 4 * TILE,
+         "partial-start": 7 * TILE, "last": TILED_N - 1}
+# the error budget's size, 786 437 (its summation error grows with N)
+BUDGET_N = 24 * TILE + 5
 
 
 def oracle_success_prob(p_abs: float, r: int) -> float:
@@ -460,7 +466,7 @@ class TestDenseOracle:
             dense_apply_G(np.ones(4, dtype=complex), uniform(4), 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("n", [4, BLOCKED_N], ids=["one-block", "four-blocks"])
+    @pytest.mark.parametrize("n", [4, TILED_N], ids=["one-tile", "eight-tiles"])
     def test_non_finite_state_rejected(self, n, bad):
         # a NaN or infinite norm fails the check; no NaN state comes back
         dist = uniform(n)
@@ -540,7 +546,7 @@ class TestProjection:
             project_onto_subspace(v, dist, 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("n", [4, BLOCKED_N], ids=["one-block", "four-blocks"])
+    @pytest.mark.parametrize("n", [4, TILED_N], ids=["one-tile", "eight-tiles"])
     def test_non_finite_state_raises(self, n, bad):
         dist = uniform(n)
         state = np.array(dist.amplitudes)
@@ -597,11 +603,11 @@ class TestRecurrenceOracleEquivalence:
 
 
 @pytest.fixture(scope="module")
-def blocked():
-    """A random complex database over four blocks, and a random unit state."""
+def tiled():
+    """A random complex database over eight tiles, and a random unit state."""
     rng = np.random.default_rng(31)
-    dist = random_distribution(rng, BLOCKED_N)
-    state = rng.standard_normal(BLOCKED_N) + 1j * rng.standard_normal(BLOCKED_N)
+    dist = random_distribution(rng, TILED_N)
+    state = rng.standard_normal(TILED_N) + 1j * rng.standard_normal(TILED_N)
     state /= np.linalg.norm(state)
     return dist, state
 
@@ -619,36 +625,36 @@ def step_in_forked_child(state, dist, k, want):
         raise SystemExit(3)
 
 
-class TestBlockedDenseStep:
-    """dense_apply_G and project_onto_subspace over several blocks of DENSE_BLOCK."""
+class TestTiledDenseStep:
+    """dense_apply_G and project_onto_subspace over several tiles of DENSE_TILE."""
 
-    @pytest.mark.parametrize("index", [0, DENSE_BLOCK - 1, DENSE_BLOCK, BLOCKED_N - 1],
-                             ids=["first", "block-end", "block-start", "last"])
-    def test_matches_literal_reference(self, blocked, index):
-        dist, state = blocked
+    @pytest.mark.parametrize("index", EDGES.values(), ids=EDGES.keys())
+    def test_matches_literal_reference(self, tiled, index):
+        dist, state = tiled
         k = dist.labels[index]
         before = state.copy()
         out = dense_apply_G(state, dist, k)
         np.testing.assert_allclose(out, reference_apply_G(state, dist, k), rtol=0, atol=1e-12)
         np.testing.assert_array_equal(state, before)
 
-    def test_results_do_not_depend_on_the_worker_count(self, blocked, monkeypatch):
-        dist, state = blocked
-        k = dist.labels[DENSE_BLOCK]
+    @pytest.mark.parametrize("index", [EDGES["mid-start"], EDGES["partial-start"]],
+                             ids=["mid-start", "partial-start"])
+    def test_results_do_not_depend_on_the_worker_count(self, tiled, monkeypatch, index):
+        dist, state = tiled
+        k = dist.labels[index]
         results = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(grover_core, "_usable_cpus", lambda: workers)
-            results.append((dense_apply_G(state, dist, k), g_applied(dist, k, 2)))
-        (step1, twice1), (step2, twice2) = results
-        assert np.array_equal(step1, step2) and np.array_equal(twice1, twice2)
-        projected = []
-        for workers in (1, 2):
-            monkeypatch.setattr(grover_core, "_usable_cpus", lambda: workers)
-            projected.append(project_onto_subspace(twice1, dist, k))
-        assert projected[0] == projected[1]
+            twice = g_applied(dist, k, 2)
+            results.append((dense_apply_G(state, dist, k), twice,
+                            project_onto_subspace(twice, dist, k)))
+        (step1, twice1, coeffs1), *others = results
+        for step_w, twice_w, coeffs_w in others:
+            assert np.array_equal(step_w, step1) and np.array_equal(twice_w, twice1)
+            assert coeffs_w == coeffs1
 
-    def test_projection_matches_recurrence_without_mutating(self, blocked):
-        dist, _ = blocked
+    def test_projection_matches_recurrence_without_mutating(self, tiled):
+        dist, _ = tiled
         k = dist.labels[-1]
         state = g_applied(dist, k, 3)
         before = state.copy()
@@ -657,38 +663,38 @@ class TestBlockedDenseStep:
         assert abs(coeffs.a - want.a) <= 1e-9 and abs(coeffs.b - want.b) <= 1e-9
         np.testing.assert_array_equal(state, before)
 
-    def test_dimension_mismatch(self, blocked):
-        dist, state = blocked
+    def test_dimension_mismatch(self, tiled):
+        dist, state = tiled
         short = state[:-1] / np.linalg.norm(state[:-1])
         with pytest.raises(DomainError, match="shape"):
             dense_apply_G(short, dist, 1)
         with pytest.raises(DomainError, match="shape"):
             project_onto_subspace(short, dist, 1)
 
-    def test_unnormalized_state_rejected(self, blocked):
-        dist, state = blocked
+    def test_unnormalized_state_rejected(self, tiled):
+        dist, state = tiled
         with pytest.raises(DomainError, match="norm"):
             dense_apply_G(2.0 * state, dist, 1)
 
-    def test_state_outside_subspace_raises(self, blocked):
-        dist, state = blocked
+    def test_state_outside_subspace_raises(self, tiled):
+        dist, state = tiled
         with pytest.raises(ConsistencyError, match="subspace"):
-            project_onto_subspace(state, dist, dist.labels[DENSE_BLOCK])
+            project_onto_subspace(state, dist, dist.labels[TILE])
 
-    @pytest.mark.parametrize("index", [DENSE_BLOCK - 1, DENSE_BLOCK, BLOCKED_N - 1],
-                             ids=["block-end", "block-start", "last"])
-    def test_departure_in_one_element_raises(self, blocked, index):
-        dist, _ = blocked
+    # not "first": a change to the target's own element stays in span{D, e_k}
+    @pytest.mark.parametrize("index", list(EDGES.values())[1:], ids=list(EDGES)[1:])
+    def test_departure_in_one_element_raises(self, tiled, index):
+        dist, _ = tiled
         state = np.array(dist.amplitudes)
         state[index] += 1e-6
         with pytest.raises(ConsistencyError, match="subspace"):
             project_onto_subspace(state, dist, dist.labels[0])
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method")
-    def test_forked_child_steps_after_the_parent_used_the_pool(self, blocked, monkeypatch):
+    def test_forked_child_steps_after_the_parent_used_the_pool(self, tiled, monkeypatch):
         # the child inherits the pool but none of its threads
         monkeypatch.setattr(grover_core, "_usable_cpus", lambda: 2)
-        dist, state = blocked
+        dist, state = tiled
         k = dist.labels[1]
         want = dense_apply_G(state, dist, k)
         child = multiprocessing.get_context("fork").Process(
@@ -711,17 +717,19 @@ class TestBlockedDenseStep:
 
 class TestDenseErrorBudget:
     # The worst |prob - exact| / (r eps) seen over r = 1..30, by |P(k)|^2 =
-    # 1e-6, 1e-3, 0.25, 0.49: 0.18, 586, 1476, 3558 with OpenBLAS's
-    # AVX2/AVX-512 zdot kernels, and 22, 4404, 23523, 15982 with its SSE2
-    # kernel (OPENBLAS_CORETYPE=Nehalem).
+    # 1e-6, 1e-3, 0.25, 0.49: 0.27, 21, 412, 389 with OpenBLAS's AVX-512
+    # zdot kernel on 2 threads, 0.26, 37, 716, 920 on one
+    # (OPENBLAS_NUM_THREADS=1), and 0.16, 585, 1476, 3557 with its SSE2
+    # kernel (OPENBLAS_CORETYPE=Nehalem).  At 30 * 2^15 + 5 elements the
+    # SSE2 kernel's worst were 1.3, 683, 2713, 1782.
     C = 30000
 
     @pytest.mark.parametrize("proportion", [1e-6, 1e-3, 0.25, 0.49])
     def test_thirty_steps_against_50_digit_closed_form(self, proportion):
-        index = DENSE_BLOCK + 7
-        amps = np.full(BLOCKED_N, math.sqrt((1 - proportion) / (BLOCKED_N - 1)), np.complex128)
+        index = 12 * TILE  # a tile's first element
+        amps = np.full(BUDGET_N, math.sqrt((1 - proportion) / (BUDGET_N - 1)), np.complex128)
         amps[index] = math.sqrt(proportion)
-        dist = AmplitudeDistribution(labels=range(1, BLOCKED_N + 1), amplitudes=amps)
+        dist = AmplitudeDistribution(labels=range(1, BUDGET_N + 1), amplitudes=amps)
         k = dist.labels[index]
         p_k = dist.amplitude(k)
         eps = np.finfo(float).eps

@@ -276,6 +276,18 @@ def test_each_column_bar_is_its_tallest(tmp_path):
                                atol=0.005)
 
 
+@pytest.mark.parametrize("block", [7, 1000], ids=["columns-span-blocks", "blocks-span-columns"])
+def test_bar_blocks_write_the_same_plot(tmp_path, block):
+    # about 9 labels a pixel column: blocks of 7 cut through nearly every
+    # column, blocks of 1 000 through a few; one block of 2^16 holds them all
+    labels = range(3, 5003)
+    heights = np.random.default_rng(7).exponential(size=len(labels))
+    svg.bar_plot(tmp_path / "whole.svg", labels, heights, "t", "k", "p")
+    with mock.patch.object(svg, "BLOCK_POINTS", block):
+        svg.bar_plot(tmp_path / "blocks.svg", labels, heights, "t", "k", "p")
+    assert (tmp_path / "blocks.svg").read_bytes() == (tmp_path / "whole.svg").read_bytes()
+
+
 def test_few_bars_keep_one_per_label(tmp_path):
     svg.bar_plot(tmp_path / "b.svg", range(1, svg.PLOT_W + 1), np.ones(svg.PLOT_W), "t", "k", "p")
     x, width, _ = bars(tmp_path / "b.svg").T
