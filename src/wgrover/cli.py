@@ -23,8 +23,6 @@ import sys
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, continuum, csvio, grover_core, svg
 from .amplitudes import AmplitudeDistribution, load_spec
 from .errors import ConsistencyError, DomainError, NoPeakError
@@ -223,12 +221,12 @@ def _comparison_artifacts(out: Path, stem: str, table: analysis.ComparisonTable,
     """
     csvio.write_comparison(out / f"{stem}.csv", table)
     for kind, title in plots.items():
-        ks = np.arange(len(table), dtype=float) + table.k.start
         if kind == "log":
-            series = [("classical", ks, table.ln_classical), ("grover", ks, table.ln_grover)]
+            series = [("classical", table.k, table.ln_classical),
+                      ("grover", table.k, table.ln_grover)]
         else:
-            series = [("classical p_k", ks, table.recip_classical),
-                      ("grover dt(k)", ks, table.recip_grover)]
+            series = [("classical p_k", table.k, table.recip_classical),
+                      ("grover dt(k)", table.k, table.recip_grover)]
         svg.line_plot(out / f"{stem}_{kind}.svg", series, title, "label k",
                       "ln(steps)" if kind == "log" else "1/steps")
 

@@ -4,18 +4,21 @@ Just axes, ticks, series, and a small legend: enough to eyeball a curve
 against a published figure.  Output is a pure function of the data (fixed
 coordinate precision, no ids, no timestamps), so repeated runs produce
 byte-identical files.  A plot holds O(pixels) shapes whatever the data
-size: a long line series is reduced by M4 a block of points at a time, so
-its temporaries stay at a block's size whatever the series length.
+size: a long line series is reduced by M4, and many bars to each pixel
+column's tallest, in one pass over blocks of points that end at column
+boundaries, so the temporaries stay at a block's size whatever the length.
 
 Polyline vertices are written byte-exact with Python's `"%.2f,%.2f "` from
-arrays, not one `%` per number.  For a coordinate v in [0, 1000), v * 100
-is p + e exactly (Dekker's TwoProduct, as in `numtext`) and rounds to the
-integer n, whose digits and separator fill one 8-byte word ("ddd.dd,"
-with zero bytes for the leading zeros); one `bytes.translate` drops the zero
-bytes.  The fraction's own rounding is below 2^-54, so only a coordinate
-whose fraction lies within 2^-45 of 1/2 (a decimal tie such as 62.125), a
-negative one, or one that prints past "999.99" is written by `%` on its own.
-A series of at most SMALL_COORDS numbers goes through `%` whole.
+arrays, not one `%` per number.  For a coordinate v in [0, 1000), the
+integer n that v * 100 rounds to has digits and a separator that fill one
+8-byte word ("ddd.dd," with zero bytes for the leading zeros); one
+`bytes.translate` drops the zero bytes.  With p = fl(v * 100), the offset
+d = (p - floor p) - 1/2 is exact, and when it is not 0 it is a multiple of
+ulp(p), larger than the product's rounding error, so its sign alone decides
+n.  Where d == 0 the error's sign does, from Dekker's TwoProduct (as in
+`numtext`), and an exact tie goes to even, as `%` rounds.  A series of at
+most SMALL_COORDS numbers, or one holding a negative or NaN coordinate or one
+that prints past "999.99", goes through `%` whole.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numtext import _split
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 16, 34, 46
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R
@@ -33,16 +38,13 @@ PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
 # A line series longer than this is drawn from its M4 aggregate.
 MAX_SERIES_POINTS = 4 * PLOT_W
-# M4 maps and reduces a long series this many points at a time (more only
-# for a pixel column wider than a block).
+# M4 and the bar reduction map a long series this many points at a time
+# (more only for a pixel column wider than a block).
 BLOCK_POINTS = 2**16
 POINT = "%.2f,%.2f "
 # Series of at most this many numbers are written by `%` whole, below the
 # array path's fixed cost.
 SMALL_COORDS = 160
-# A coordinate whose v * 100 has a fraction within this of 1/2 is left to `%`.
-_TIE = 2.0**-45
-_SPLITTER = 134217729.0  # 2^27 + 1 (Veltkamp)
 BAR = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#1f77b4" stroke="black" '
        'stroke-width="0.5"/>\n')
 
@@ -115,12 +117,6 @@ def _frame(title: str, xlabel: str, ylabel: str, xlo: float, xhi: float,
     return parts, px, py
 
 
-def _columns(x: np.ndarray) -> np.ndarray:
-    """Index of the first point of each pixel column; x is in pixels and ascends."""
-    cols = np.floor(x)
-    return np.r_[0, np.flatnonzero(cols[1:] != cols[:-1]) + 1]
-
-
 def _take(xs, lo, hi=None) -> np.ndarray:
     """xs[lo:hi] as floats, or xs[lo] for an index array lo; a range is not built whole."""
     if not isinstance(xs, range):
@@ -131,15 +127,16 @@ def _take(xs, lo, hi=None) -> np.ndarray:
     return i
 
 
-def _column_blocks(xs, px) -> list[tuple[int, int, np.ndarray]]:
+def _column_blocks(xs, column) -> list[tuple[int, int, np.ndarray]]:
     """(lo, hi, starts) of each block of points lo..hi-1 of xs, with the index
-    in the block of the first point of each pixel column of px(xs) as written
-    (to 0.01 px).  A block ends at a column boundary, so no column is split.
+    in the block of the first point of each pixel column floor(column(xs)),
+    xs ascending.  A block ends at a column boundary, so no column is split.
     """
     blocks, lo, size = [], 0, BLOCK_POINTS
     while lo < len(xs):
         hi = min(lo + size, len(xs))
-        starts = _columns(np.round(px(_take(xs, lo, hi)), 2))
+        cols = np.floor(column(_take(xs, lo, hi)))
+        starts = np.r_[0, np.flatnonzero(cols[1:] != cols[:-1]) + 1]
         if hi < len(xs):
             if len(starts) == 1:
                 # one column wider than the block: look further
@@ -171,11 +168,9 @@ def _m4(ys: np.ndarray, py, blocks) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _percent(values: list[float], first: int) -> str:
-    """`%.2f` text of coordinates from index first of a vertex list on, each
-    with its separator: "," after an x (even index), " " after a y."""
-    at = 5 * (first & 1)
-    return (POINT * (len(values) // 2 + 1))[at:at + 5 * len(values)] % tuple(values)
+def _percent(flat: np.ndarray) -> str:
+    """The vertices' text by `%`, from their coordinates (x0, y0, x1, y1, ...)."""
+    return (POINT * (len(flat) // 2) % tuple(flat.tolist()))[:-1]
 
 
 @cache
@@ -191,37 +186,25 @@ def _digit_words() -> tuple[np.ndarray, ...]:
 def _points(x: np.ndarray, y: np.ndarray) -> str:
     """The vertices' text, byte-exact with `(POINT * len(x) % (x0, y0, ...))[:-1]`."""
     flat = np.column_stack([x, y]).ravel()
-    if len(flat) <= SMALL_COORDS:
-        return _percent(flat.tolist(), 0)[:-1]
-    inside = ~np.signbit(flat) & (flat < 1000.0)
-    a = np.where(inside, flat, 0.0)
-    # a * 100 == p + e exactly (Dekker's TwoProduct; 100 is its own high half)
-    p = a * 100.0
-    c = a * _SPLITTER
-    a_hi = c - (c - a)
-    e = (a_hi * 100.0 - p) + (a - a_hi) * 100.0
+    if len(flat) <= SMALL_COORDS or not (flat < 1000.0).all() or np.signbit(flat).any():
+        return _percent(flat)
+    p = flat * 100.0
     whole = np.floor(p)
-    frac = (p - whole) + e
-    n = whole.astype(np.int64) + (frac > 0.5)
-    ok = inside & (np.abs(frac - 0.5) > _TIE) & (n < 100_000)
-    left = ~ok
-    n[left] = 0
+    # half is exact, and unless 0 it outweighs p's rounding error
+    half = (p - whole) - 0.5
+    n = whole.astype(np.int64) + (half > 0.0)
+    tie = np.flatnonzero(half == 0.0)
+    if len(tie):
+        # flat * 100 == p + e exactly (Dekker's TwoProduct; 100 is its own high half)
+        hi, lo = _split(flat[tie])
+        e = (hi * 100.0 - p[tie]) + lo * 100.0
+        n[tie] += (e > 0.0) | ((e == 0.0) & (n[tie] % 2 == 1))
+    if n.max() >= 100_000:
+        return _percent(flat)
     units, cents, seps = _digit_words()
     words = units.take(n // 100) | cents.take(n % 100)
     np.bitwise_or(words.reshape(-1, 2), seps, out=words.reshape(-1, 2))
-    words[left] = 0
-    text = words.tobytes().translate(None, b"\0").decode()
-    bad = np.flatnonzero(left)
-    if len(bad):
-        # a left-out coordinate writes nothing, so its text goes where the
-        # text of the coordinates before it ends
-        ends = np.cumsum(np.where(ok, 5 + (n >= 1000) + (n >= 10_000), 0))[bad]
-        pieces, lo = [], 0
-        for i, at, v in zip(bad.tolist(), ends.tolist(), flat[bad].tolist()):
-            pieces += [text[lo:at], _percent([v], i)]
-            lo = at
-        text = "".join(pieces) + text[lo:]
-    return text[:-1]
+    return words.tobytes().translate(None, b"\0").decode()[:-1]
 
 
 def line_plot(
@@ -251,7 +234,7 @@ def line_plot(
         color = COLORS[i % len(COLORS)]
         if len(xs) > MAX_SERIES_POINTS:
             if id(xs) not in blocks:
-                blocks[id(xs)] = _column_blocks(xs, px)
+                blocks[id(xs)] = _column_blocks(xs, lambda v: np.round(px(v), 2))
             keep = _m4(ys, py, blocks[id(xs)])
             x, y = px(_take(xs, keep)), py(ys[keep])
         else:
@@ -264,12 +247,6 @@ def line_plot(
                   f'<text x="{lx + 28}" y="{ly + 4}">{name}</text>']
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
-
-
-def _tallest(x: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each pixel column floor(x) of ascending x, and the largest of its heights."""
-    starts = _columns(x)
-    return np.floor(x[starts]), np.maximum.reduceat(heights, starts)
 
 
 def bar_plot(
@@ -286,10 +263,10 @@ def bar_plot(
     xlo, xhi = labels[0] - 0.5, labels[-1] + 0.5
     parts, px, py = _frame(title, xlabel, ylabel, xlo, xhi, 0.0, yhi)
     if len(labels) > PLOT_W:
-        # each pixel column's tallest bar, a block at a time, then across block edges
-        blocks = (_tallest(px(_take(labels, lo, lo + BLOCK_POINTS)), heights[lo:lo + BLOCK_POINTS])
-                  for lo in range(0, len(labels), BLOCK_POINTS))
-        xs, heights = _tallest(*map(np.concatenate, zip(*blocks)))
+        # each pixel column floor(px(label)) draws its tallest bar
+        blocks = _column_blocks(labels, px)
+        xs = np.floor(px(_take(labels, np.concatenate([lo + s for lo, _, s in blocks]))))
+        heights = np.concatenate([np.maximum.reduceat(heights[lo:hi], s) for lo, hi, s in blocks])
         width = 1.0
     else:
         xs, width = px(_take(labels, 0, len(labels)) - 0.4), 0.8 / (xhi - xlo) * PLOT_W

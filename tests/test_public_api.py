@@ -82,6 +82,8 @@ DELETED = [
     "FIG4_TARGET",
     "FIGURE_Q1",
     "FIGURE_N",
+    "_tallest",
+    "_TIE",
 ]
 
 

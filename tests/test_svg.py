@@ -9,14 +9,14 @@ plot written with the reduction switched off, so both carry the same
 two-decimal coordinates.
 
 The vertex text is written from arrays; Python's `POINT % (x0, y0, ...)` is
-its exact oracle, and only the coordinates the array path cannot certify
-(decimal ties, negatives, values that print past "999.99") may go to `%`.
+its exact oracle.  No coordinate goes to `%` on its own: only a short
+series, or one holding a negative, a NaN or a value that prints past
+"999.99", goes to `%`, whole.
 """
 
 import contextlib
 import math
 import re
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -127,8 +127,8 @@ def test_blocks_and_ranges_write_the_same_plot(tmp_path):
     whole = plot("whole.svg", xs)
     made, column_blocks = [], svg._column_blocks
 
-    def recorded(xs, px):
-        made.append(column_blocks(xs, px))
+    def recorded(xs, column):
+        made.append(column_blocks(xs, column))
         return made[-1]
 
     blocks = mock.patch.object(svg, "BLOCK_POINTS", 1000)
@@ -155,31 +155,28 @@ def percent_of(flat):
 
 
 @contextlib.contextmanager
-def sent_to_percent():
-    """The list of coordinates svg sends to `%` while the block runs."""
-    sent, percent = [], svg._percent
+def percent_calls():
+    """The vertex lists svg sends to `%` while the block runs, one per call."""
+    calls, percent = [], svg._percent
 
-    def recorded(values, first):
-        sent.extend(values)
-        return percent(values, first)
+    def recorded(flat):
+        calls.append(flat.tolist())
+        return percent(flat)
 
     with mock.patch.object(svg, "_percent", recorded):
-        yield sent
+        yield calls
 
 
 def written(flat, small=0):
-    """svg's vertex text of the interleaved coordinates flat, and the
-    coordinates it sent to `%`, with SMALL_COORDS set to small."""
-    with sent_to_percent() as sent, mock.patch.object(svg, "SMALL_COORDS", small):
-        return svg._points(flat[0::2], flat[1::2]), sent
+    """svg's vertex text of the interleaved coordinates flat, and the vertex
+    lists it sent to `%`, with SMALL_COORDS set to small."""
+    with percent_calls() as calls, mock.patch.object(svg, "SMALL_COORDS", small):
+        return svg._points(flat[0::2], flat[1::2]), calls
 
 
-def needs_percent(v):
-    """Outside [0, 1000), printed past "999.99", or |v| * 100 within 2^-44 of a half."""
-    if math.isnan(v) or math.copysign(1.0, v) < 0 or v >= 1000 or "%.2f" % v == "1000.00":
-        return True
-    scaled = Fraction(v) * 100
-    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= Fraction(1, 2**44)
+def outside(v):
+    """Negative (-0.0 included), NaN, 1000 or more, or printed as "1000.00"."""
+    return math.isnan(v) or math.copysign(1.0, v) < 0 or v >= 1000 or "%.2f" % v == "1000.00"
 
 
 # [0, 1000), exact ties m/8, and the edges of the digit layout
@@ -195,11 +192,30 @@ OUTSIDE = st.one_of(st.floats(max_value=-0.0), st.floats(min_value=1000.0),
        .map(lambda v: v + v[-1:] * (len(v) % 2)))
 def test_vertex_text_matches_percent(values):
     flat = np.array(values)
-    text, sent = written(flat)
+    text, calls = written(flat)
     assert text == percent_of(flat)
-    # each coordinate goes to `%` on its own, and only when the array path cannot write it
-    assert all(map(needs_percent, sent))
-    assert sum(map(needs_percent, values)) == len(sent)
+    # a series with a coordinate the array path cannot write goes to `%` whole, once
+    if any(map(outside, values)):
+        assert len(calls) == 1 and np.array_equal(calls[0], values, equal_nan=True)
+    else:
+        assert calls == []
+
+
+def half_cents():
+    """The double nearest each x.xx5 below 1000, and its neighbours on both sides."""
+    mid = (2 * np.arange(100_000) + 1) / 200
+    return np.concatenate([np.nextafter(mid, 0.0), mid, np.nextafter(mid, 1000.0)])
+
+
+@pytest.mark.parametrize("flat", [np.arange(8000) / 8, half_cents()],
+                         ids=["eighths", "half-cents"])
+def test_decimal_ties_and_their_neighbours_match_percent(flat):
+    # the exact ties m/8 round to even; most of these products round to a
+    # half exactly, so the product's error decides
+    flat = flat[flat < 999.995]  # what prints as "1000.00" goes to `%`
+    text, calls = written(flat)
+    assert text == percent_of(flat)
+    assert calls == []
 
 
 @given(st.integers(1, 10**7), st.integers(0, 10**7), st.integers(1, 200))
@@ -207,18 +223,19 @@ def test_pixel_grids_match_percent(n, first, points):
     # the x pixels of n + 1 grid points, 62 + r * 562 / n, from r = first on
     r = np.arange(first, first + 2 * points) % (n + 1)
     flat = svg.MARGIN_L + r * svg.PLOT_W / n
-    text, sent = written(flat)
+    text, calls = written(flat)
     assert text == percent_of(flat)
-    assert all(map(needs_percent, sent))
+    assert calls == []
 
 
 @pytest.mark.parametrize("size", [svg.SMALL_COORDS, svg.SMALL_COORDS + 2])
 def test_series_at_the_size_rule_match_percent(size):
-    flat = np.random.default_rng(size).uniform(0.0, 1000.0, size)
-    text, sent = written(flat, small=svg.SMALL_COORDS)
+    flat = np.random.default_rng(size).uniform(0.0, 999.99, size)
+    text, calls = written(flat, small=svg.SMALL_COORDS)
     assert text == percent_of(flat)
-    # a series of at most SMALL_COORDS numbers goes through `%` whole
-    assert len(sent) == (size if size <= svg.SMALL_COORDS else 0)
+    # a series of at most SMALL_COORDS numbers goes through `%` whole; no
+    # coordinate of a longer in-range series reaches `%`
+    assert calls == ([flat.tolist()] if size <= svg.SMALL_COORDS else [])
 
 
 @pytest.mark.parametrize("spec, target", [
@@ -226,23 +243,20 @@ def test_series_at_the_size_rule_match_percent(size):
     ('{"kind":"coherent","alpha_re":0.9178106247413862,"alpha_im":0.7730612246852292,'
      '"q1":0,"n":12}', "6"),
 ], ids=["uniform4", "complex-coherent"])
-def test_simulate_grid_sends_only_true_ties_to_percent(tmp_path, spec, target):
+def test_simulate_grid_sends_nothing_to_percent(tmp_path, spec, target):
     # the x grid 62 + r * 562 / 20000 lands about 1e-12 from a decimal tie at
-    # r = 50; only coordinates that are exact ties may be left to `%`
+    # r = 50, which the array path still writes itself
     series, points = [], svg._points
 
     def recorded_points(x, y):
         series.append(np.column_stack([x, y]).ravel())
         return points(x, y)
 
-    with sent_to_percent() as sent, mock.patch.object(svg, "_points", recorded_points):
+    with percent_calls() as calls, mock.patch.object(svg, "_points", recorded_points):
         assert main(["simulate", "--inline", spec, "--target", target, "--rmax", "20000",
                      "--svg", "--out", str(tmp_path)]) == 0
     assert len(series) == 2 and all(len(flat) > svg.SMALL_COORDS for flat in series)
-    ties = [v for flat in series for v in flat.tolist()
-            if (Fraction(v) * 100).denominator == 2]
-    assert len(sent) <= len(ties)
-    assert all((Fraction(v) * 100).denominator == 2 for v in sent)
+    assert calls == []
 
 
 def bars(path):
