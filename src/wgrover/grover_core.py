@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -97,12 +96,7 @@ class TrajectoryPoints(Sequence):
         return len(self._traj.prob)
 
     def __getitem__(self, r: int) -> TrajectoryPoint:
-        n = len(self)
-        r = operator.index(r)
-        if r < 0:
-            r += n
-        if not 0 <= r < n:
-            raise IndexError(f"trajectory index out of range for {n} points")
+        r = range(len(self))[r]
         t = self._traj
         return TrajectoryPoint(r, TwoDState(a=complex(t.a[r]), b=complex(t.b[r])), float(t.prob[r]))
 

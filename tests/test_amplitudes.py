@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -155,7 +155,7 @@ class TestTruncatedCoherent:
         mags = np.abs(dist.amplitudes)
         assert mags.max() / mags.min() < 1.05
 
-    @pytest.mark.parametrize("q1", [0, 100, 1000, 10_000])
+    @pytest.mark.parametrize("q1", [0, 100, 1000, 10_000, 10**8, 10**12])
     @pytest.mark.parametrize("alpha", [0.8, 3.2, 100.0])
     def test_deep_tails_against_mpmath_poisson_window(self, alpha, q1):
         # |P(k)|^2 is lam^k / k! renormalized over the window; the float
@@ -207,6 +207,46 @@ class TestFromWeights:
             assert abs(dist.amplitude(k)) ** 2 == pytest.approx(w, abs=1e-12)
 
 
+# A weight that spans the 300 decades below 1, or a subnormal.
+SPREAD_WEIGHT = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-300, 0)),
+    st.floats(min_value=5e-324, max_value=2.0**-1022, allow_subnormal=True),
+)
+
+
+def assert_renormalized(weights):
+    """weights that pass the 1e-6 window and the positivity check load, and w / fsum w sums to 1."""
+    total = math.fsum(weights)
+    props = np.array(weights, dtype=np.float64) / total
+    assert abs(total - 1.0) <= amplitudes.WEIGHT_SUM_TOL and (props > 0).all()
+    assert abs(math.fsum(props.tolist()) - 1.0) <= 4 * np.finfo(float).eps
+    assert load_spec({"kind": "weights", "weights": weights}).size == len(weights)
+
+
+class TestRenormalizedWeights:
+    """Why _weights_distribution needs no second sum check: w / fsum w sums to 1 within 4 eps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(SPREAD_WEIGHT, min_size=1, max_size=60),
+        st.floats(min_value=1 - 9e-7, max_value=1 + 9e-7),
+    )
+    def test_accepted_weights_sum_to_one(self, raw, drift):
+        total = math.fsum(raw)
+        # 0.5 keeps at least two entries; the others share the rest and the drift
+        weights = [0.5 * drift] + [0.5 * x / total * drift for x in raw]
+        assume(all(w > 0 for w in weights))
+        assert_renormalized(weights)
+
+    def test_a_million_weights_over_300_decades(self):
+        w = 10.0 ** np.random.default_rng(7).uniform(-300, 0, MAX_ENTRIES)
+        assert_renormalized((w / math.fsum(w.tolist()) * (1 + 8e-7)).tolist())
+
+    def test_subnormal_tail(self):
+        tail = [5e-324] * 1000 + [1e-310, 2.0**-1050, 3e-320]
+        assert_renormalized([0.25, 0.75 - 5e-7] + tail)
+
+
 class TestProportion:
     def test_uniform_everywhere(self):
         props = uniform(20).proportions()
@@ -252,8 +292,8 @@ for path in {line.split()[-1] for line in open("/proc/self/maps") if "openblas" 
             cores.add(getter().decode())
 print(*sorted(cores), end=" ")
 if cores == {"Nehalem"}:
-    wgrover.uniform(786437)
-    wgrover.uniform(10**6)
+    wgrover.amplitudes.uniform(786437)
+    wgrover.amplitudes.uniform(10**6)
     print("built", end="")
 """
 
