@@ -6,9 +6,10 @@ module builds the two families used throughout the package (uniform and
 truncated coherent-state distributions), and load_spec builds either of
 them, or a weight table as real amplitudes sqrt(p_n), from a JSON spec.
 
-Coherent-state amplitudes are evaluated in the log domain (log-gamma
-factorials plus a shifted log-sum-exp normalization) so that large photon
-numbers neither overflow nor lose the relative structure of the tail.
+Coherent-state amplitudes follow the neighbour ratio
+P(k) = P(k-1) alpha/sqrt(k): one running sum of log-ratios across the
+window, relative to its first label, so a window keeps its shape at any
+photon number.
 """
 
 from __future__ import annotations
@@ -128,30 +129,25 @@ def uniform(n: int) -> AmplitudeDistribution:
     return AmplitudeDistribution(labels=range(1, n + 1), amplitudes=amps)
 
 
-def _log_sum_exp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(values - m))))
-
-
 def truncated_coherent(alpha: complex, q1: int, n: int) -> AmplitudeDistribution:
     """Coherent-state amplitudes restricted to photon numbers q1..q1+N.
 
-    The amplitude at label k is N_q e^{-|a|^2/2} a^k / sqrt(k!), which for
-    complex alpha carries the phase arg(alpha)*k.  The truncation window
-    contains N+1 labels.  Magnitudes are computed as exp(log-magnitude)
-    relative to the in-window maximum, then renormalized exactly, so even
-    deep Poisson tails keep their correct relative size.
+    The amplitude at label k is N_q e^{-|a|^2/2} a^k / sqrt(k!), built from the
+    ratio P(k) / P(k-1) = a / sqrt(k), relative to label q1: the log-magnitude
+    is a running sum of (ln|a|^2 - ln j) / 2 over j = q1+1..k, and the phase is
+    arg(a) * (k - q1).  The common factor e^{i arg(a) q1}, which no probability
+    sees, is dropped.  The window holds N+1 labels, shifted by its largest
+    log-magnitude and renormalized, so even deep Poisson tails keep their
+    correct relative size.  Logarithms are math.log and the exponential is
+    complex np.exp, both libm, so the bits do not depend on numpy's SIMD loops.
     """
-    lam = _check_coherent_args(alpha, q1, n)
-    ks = np.arange(q1, q1 + n + 1)
-    lgam = np.array([math.lgamma(k + 1) for k in ks])
-    # log |P(k)| up to the common normalization constant
-    log_mag = ks * (0.5 * math.log(lam)) - 0.5 * lgam
-    log_mag -= 0.5 * _log_sum_exp(2.0 * log_mag)
-    phase = cmath.phase(complex(alpha))
-    amps = (1j * phase) * ks
+    _check_coherent_args(alpha, q1, n)
+    logs = np.fromiter(map(math.log, range(q1 + 1, q1 + n + 1)), np.float64, n)
+    log_mag = np.zeros(n + 1)
+    np.cumsum(math.log(abs(alpha)) - 0.5 * logs, out=log_mag[1:])
+    amps = (1j * cmath.phase(complex(alpha))) * np.arange(n + 1)
+    amps += log_mag - log_mag.max()
     np.exp(amps, out=amps)
-    amps *= np.exp(log_mag)
     amps /= np.linalg.norm(amps)
     return AmplitudeDistribution(labels=range(q1, q1 + n + 1), amplitudes=amps)
 
@@ -242,15 +238,15 @@ def _size_field(spec: dict) -> int:
     return n
 
 
-def _check_coherent_args(alpha: complex, q1: int, n: int) -> float:
-    """|alpha|^2, once the arguments are checked."""
+def _check_coherent_args(alpha: complex, q1: int, n: int) -> None:
+    """Raise DomainError unless alpha, q1 and N make a coherent window."""
     if not cmath.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     try:
         lam = abs(alpha) ** 2
     except OverflowError:
         lam = math.inf
-    # the amplitudes are built from log |alpha|^2
+    # |alpha|^2 is the Poisson mean: a positive finite double
     if not 0 < lam < math.inf:
         raise DomainError(f"|alpha_re + i alpha_im|^2 must be a positive finite double, i.e. "
                           f"|alpha| from about 2.2e-162 to 1.3e154, got alpha = {alpha!r}")
@@ -260,4 +256,3 @@ def _check_coherent_args(alpha: complex, q1: int, n: int) -> float:
         raise DomainError(f"labels q1..q1+N must fit in 64 bits, got q1 + N = {q1 + n}")
     if n < 2:
         raise DomainError(f"coherent window needs N >= 2, got {n}")
-    return lam

@@ -25,6 +25,9 @@ from wgrover.csvio import write_distribution
 from wgrover.errors import DomainError, LabelNotFoundError
 
 
+TINY = np.finfo(float).tiny
+
+
 def naive_coherent_magnitudes(alpha_abs: float, q1: int, n: int) -> list[float]:
     """Direct evaluation with exact integer factorials; overflows for huge k."""
     lam = alpha_abs**2
@@ -96,15 +99,17 @@ class TestTruncatedCoherent:
         assert dist.labels == range(0, 6)
         assert np.sum(dist.proportions()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_complex_alpha_carries_phase_k_arg_alpha(self):
-        alpha = 0.8 * np.exp(0.3j)
-        dist = truncated_coherent(alpha, 1, 10)
+    # at q1 = 10^16, arg(alpha) * k as one double would lose the step between labels
+    @pytest.mark.parametrize("mag, q1", [(0.8, 1), (1e8, 10**16)])
+    def test_complex_alpha_carries_phase_k_minus_q1_arg_alpha(self, mag, q1):
+        alpha = mag * np.exp(0.3j)
+        dist = truncated_coherent(alpha, q1, 10)
         for k in dist.labels:
-            expected_phase = 0.3 * k
+            expected_phase = 0.3 * (k - q1)
             actual = np.angle(dist.amplitude(k))
             assert np.exp(1j * actual) == pytest.approx(np.exp(1j * expected_phase), abs=1e-12)
         # magnitudes are phase-independent
-        ref = truncated_coherent(0.8, 1, 10)
+        ref = truncated_coherent(mag, q1, 10)
         np.testing.assert_allclose(
             np.abs(dist.amplitudes), np.abs(ref.amplitudes), rtol=1e-12
         )
@@ -155,21 +160,27 @@ class TestTruncatedCoherent:
         mags = np.abs(dist.amplitudes)
         assert mags.max() / mags.min() < 1.05
 
-    @pytest.mark.parametrize("q1", [0, 100, 1000, 10_000, 10**8, 10**12])
-    @pytest.mark.parametrize("alpha", [0.8, 3.2, 100.0])
+    @pytest.mark.parametrize("q1", [0, 100, 1000, 10_000, 10**8, 10**12, 10**14, 10**16,
+                                    2**63 - 21])
+    @pytest.mark.parametrize("alpha", [0.8, 3.2, 100.0, 1e-100, 1e100])
     def test_deep_tails_against_mpmath_poisson_window(self, alpha, q1):
-        # |P(k)|^2 is lam^k / k! renormalized over the window; the float
-        # log-magnitudes k ln(lam) and lgamma(k + 1) carry a relative error
-        # of a few eps each, so the bound scales with their size.
+        # |P(k)|^2 is lam^k / k! renormalized over the window.  The running sum
+        # adds N log-ratios ln(lam) - ln j, each within a few eps of its size,
+        # and the shift, exp and norm add a few eps each, so the bound scales
+        # with N + 1 plus the sum of their sizes.  A |P(k)|^2 below the
+        # smallest normal double keeps no relative precision, so there it
+        # only has to be within that of the reference.
         labels = range(q1, q1 + 21)
         got = truncated_coherent(alpha, q1, 20).proportions()
-        with mp.workdps(50):
-            lam = mp.mpf(alpha) ** 2
-            weights = [lam**k / mp.factorial(k) for k in labels]
-            total = mp.fsum(weights)
-            rel = [abs(mp.mpf(g) / (w / total) - 1) for g, w in zip(got.tolist(), weights)]
-        scale = max(abs(k * math.log(alpha**2)) + math.lgamma(k + 1) for k in labels)
+        with mp.workdps(60):
+            logs = [k * mp.log(mp.mpf(alpha) ** 2) - mp.loggamma(k + 1) for k in labels]
+            weights = [mp.exp(v - max(logs)) for v in logs]
+            want = [w / mp.fsum(weights) for w in weights]
+            rel = [abs(mp.mpf(g) / w - 1) for g, w in zip(got.tolist(), want) if w >= TINY]
+            far = [abs(g - float(w)) for g, w in zip(got.tolist(), want) if w < TINY]
+        scale = 21 + sum(abs(2 * math.log(alpha) - math.log(j)) for j in labels[1:])
         assert float(max(rel)) <= 4 * np.finfo(float).eps * scale
+        assert max(far, default=0.0) <= TINY
 
 
 class TestFromWeights:

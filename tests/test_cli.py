@@ -45,6 +45,16 @@ class TestDistCommand:
         assert [int(row["k"]) for row in rows] == list(range(1, 22))
         assert abs(sum(float(row["p_k"]) for row in rows) - 1.0) <= 1e-9
 
+    def test_farthest_window_keeps_its_shape(self, tmp_path):
+        # each label holds 0.64 / k of the one before, so label q1 holds nearly all the weight
+        q1 = 2**63 - 21
+        spec = '{"kind":"coherent","alpha_re":0.8,"q1":9223372036854775787,"n":20}'
+        assert run("dist", "--inline", spec, "--out", str(tmp_path)) == 0
+        rows = read_csv(tmp_path / "dist.csv", csvio.DISTRIBUTION_HEADER)
+        assert [int(row["k"]) for row in rows] == list(range(q1, q1 + 21))
+        assert float(rows[0]["p_k"]) == 1.0
+        assert float(rows[1]["p_k"]) == pytest.approx(0.64 / (q1 + 1), rel=1e-12)
+
     def test_uniform_rows(self, tmp_path):
         assert run("dist", "--inline", UNIFORM20, "--out", str(tmp_path)) == 0
         rows = read_csv(tmp_path / "dist.csv", csvio.DISTRIBUTION_HEADER)

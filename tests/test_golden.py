@@ -8,6 +8,11 @@ the files of `dist --svg` on the heavy table, and of `simulate --svg` (5001
 rows with imaginary parts) and `continuum --svg` on a complex-alpha coherent
 window, is checked against the manifest `golden_sha256.json`.
 
+A regenerated manifest pins whatever the code wrote, so the same artifacts
+also go through the benchmark's math checks (`perfbench/checks.py`, loaded by
+path): every CSV against the closed form or the spec's weights, taken from
+independent sources, and every SVG as XML.  One `produce` run serves both.
+
 An intended output change must be named in CHANGES.md; regenerate the
 manifest with
 
@@ -16,15 +21,20 @@ manifest with
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
+
+import pytest
 
 from wgrover import cli
 from wgrover.cli import main
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
+CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 TABLE_SIZE = 2000
 TABLE_PRIME = 2003
@@ -80,16 +90,74 @@ def produce(out: Path) -> dict[str, str]:
     }
 
 
+def load_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def truth_checks(checks) -> dict:
+    """Each CSV's math check, by path under `produce`'s directory.
+
+    The target weights come from the paper's parameters (uniform N = 20,
+    coherent windows q1 = 1, N = 20), the Poisson weights of
+    `checks.coherent_window` and the weight tables of the specs, never from
+    wgrover.
+    """
+    windows = {a: checks.coherent_window(a, 1, 20) for a in (0.8, 1.6, 2.4, 3.2)}
+    spec = json.loads(COMPLEX_SPEC)
+    complex_p = checks.coherent_window(abs(complex(spec["alpha_re"], spec["alpha_im"])),
+                                       spec["q1"], spec["n"])[int(COMPLEX_TARGET)]
+    jobs = {
+        "simulate_complex/trajectory.csv": partial(checks.check_trajectory, p=complex_p,
+                                                   steps=5000),
+        "continuum_complex/continuum.csv": partial(checks.check_continuum, p=complex_p),
+        "dist_heavy/dist.csv": partial(checks.check_distribution,
+                                       expected=dict(enumerate(HEAVY_TABLE, start=1))),
+    }
+    for name, weights in (("compare", fixed_table()), ("compare_heavy", HEAVY_TABLE)):
+        jobs[f"{name}/comparison.csv"] = partial(checks.check_comparison,
+                                                 expected=dict(enumerate(weights, start=1)))
+    for fig, p in (("fig2", 1 / 20), ("fig4", windows[0.8][3])):
+        jobs[f"{fig}/trajectory.csv"] = partial(checks.check_trajectory, p=p, steps=40)
+        jobs[f"{fig}/continuum.csv"] = partial(checks.check_continuum, p=p)
+    for alpha, window in windows.items():
+        jobs[f"fig3/alpha_{alpha}.csv"] = partial(checks.check_distribution, expected=window)
+        for fig in ("fig5", "fig6"):
+            jobs[f"{fig}/alpha_{alpha}.csv"] = partial(checks.check_comparison, expected=window)
+    return jobs
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """The directory `produce` wrote, and its hashes: one run for every test here."""
+    out = tmp_path_factory.mktemp("golden")
+    return out, produce(out)
+
+
 def test_every_figure_is_pinned():
     assert list(FIGURES) == list(cli.FIGURES)
 
 
-def test_artifacts_match_golden_hashes(tmp_path):
-    got = produce(tmp_path)
+def test_artifacts_match_golden_hashes(artifacts):
+    _, got = artifacts
     want = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert sorted(got) == sorted(want)
     changed = [name for name in want if got[name] != want[name]]
     assert changed == [], f"artifacts differ from the golden manifest: {changed}"
+
+
+def test_artifacts_hold_the_math(artifacts):
+    out, hashes = artifacts
+    checks = load_checks()
+    jobs = truth_checks(checks)
+    svgs = [name for name in hashes if name.endswith(".svg")]
+    # standard output is pinned by its hash alone
+    assert sorted([*jobs, *svgs]) == sorted(n for n in hashes if not n.endswith("stdout.txt"))
+    problems = [why for name, check in jobs.items() for why in check(out / name)]
+    problems += [why for name in svgs for why in checks.check_svg(out / name)]
+    assert problems == []
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ rule run at its real value.
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -258,12 +259,20 @@ def test_real_trajectory_and_continuum_need_no_fallback(tmp_path, fallback_rows)
     dist = truncated_coherent(0.8, 1, 20)
     csvio.write_distribution(tmp_path / "dist.csv", dist.labels, dist.proportions())
     assert fallback_rows == []
-    # the kernel writes the empty peak cells of labels 12..21; only label 14,
-    # whose classical_steps 40404500985114.3125 is an exact decimal tie, goes
-    # to `%`, with its empty cell as ""
-    csvio.write_comparison(tmp_path / "comparison.csv", analysis.comparison_table(dist))
-    assert [row[0] for row in fallback_rows] == [14]
-    assert fallback_rows[0][4] == ""
+    # the kernel writes the empty peak cells of labels 12..21; only a row with
+    # an exact 17-digit decimal tie goes to `%`, with its empty cell as ""
+    table = analysis.comparison_table(dist)
+    csvio.write_comparison(tmp_path / "comparison.csv", table)
+    floats = [c for c in table.columns if isinstance(c, np.ndarray) and c.dtype == np.float64]
+    ties = [k for k, *row in zip(table.k, *floats) if any(map(is_decimal_tie, row))]
+    assert [row[0] for row in fallback_rows] == ties
+    assert "" in [row[4] for row in fallback_rows]
+
+
+def is_decimal_tie(x: float) -> bool:
+    """Whether x lies exactly halfway between two 17-significant-digit decimals."""
+    # Decimal(x) is exact, and adjusted() is the exponent of its first digit
+    return x != 0 and Fraction(x) * Fraction(10) ** (16 - Decimal(x).adjusted()) % 1 == 0.5
 
 
 def test_ties_and_non_finite_values_take_the_fallback(fallback_rows):

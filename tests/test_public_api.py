@@ -95,6 +95,7 @@ DELETED = [
     "FIGURE_N",
     "_tallest",
     "_TIE",
+    "_log_sum_exp",
 ]
 
 
