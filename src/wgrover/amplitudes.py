@@ -184,20 +184,23 @@ def load_spec(spec: dict) -> AmplitudeDistribution:
       {"kind": "coherent", "alpha_re": 0.8, "alpha_im": 0.0, "q1": 1, "n": 20}
       {"kind": "weights", "weights": [...]}
 
-    n and the length of the weights list are capped at MAX_ENTRIES; the
-    Python constructors are not.
+    A field its kind does not read raises DomainError.  n and the length of
+    the weights list are capped at MAX_ENTRIES; the Python constructors are not.
     """
     if not isinstance(spec, dict):
         raise DomainError(f"distribution spec must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind")
     try:
         if kind == "uniform":
+            _reads(spec, "n")
             return uniform(_size_field(spec))
         if kind == "coherent":
+            _reads(spec, "alpha_re", "alpha_im", "q1", "n")
             alpha = complex(_real(spec["alpha_re"], "alpha_re"),
                             _real(spec.get("alpha_im", 0.0), "alpha_im"))
             return truncated_coherent(alpha, _int_field(spec, "q1"), _size_field(spec))
         if kind == "weights":
+            _reads(spec, "weights")
             weights = spec["weights"]
             if not isinstance(weights, (list, tuple)):
                 raise DomainError("'weights' must be a list of numbers")
@@ -213,6 +216,13 @@ def load_spec(spec: dict) -> AmplitudeDistribution:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed distribution spec: {exc}") from None
     raise DomainError(f"unknown distribution kind {kind!r}")
+
+
+def _reads(spec: dict, *names: str) -> None:
+    """Raise DomainError if spec has a field besides kind and names, the fields its kind reads."""
+    unknown = sorted(map(repr, spec.keys() - {"kind", *names}))
+    if unknown:
+        raise DomainError(f"unknown field(s) {', '.join(unknown)} in a {spec['kind']} spec")
 
 
 def _int_field(spec: dict, name: str) -> int:

@@ -15,8 +15,8 @@ it flips exactly at |P| = 1/sqrt(2) and always holds below |P| = 1/2.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,23 +30,6 @@ from .errors import DomainError
 # not a cost limit (every peak is found in O(1)).  Tail labels of a coherent
 # window would peak at ~1e12.
 DEFAULT_PEAK_BUDGET = 100_000
-
-
-class ComparisonRow(NamedTuple):
-    """Per-target step metrics behind the reciprocal and log comparisons.
-
-    Fields are in the column order of the comparison CSV.
-    """
-
-    k: int
-    p_k: float
-    classical_steps: float
-    grover_scale: float
-    discrete_peak: int | None
-    recip_classical: float
-    recip_grover: float
-    ln_classical: float
-    ln_grover: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +64,9 @@ class ComparisonTable:
         cells = [col.tolist() for col in self.columns[1:]]
         cells[3] = [peak or None for peak in cells[3]]  # discrete_peak: 0 is empty
         return map(ComparisonRow, self.k, *cells)
+
+
+ComparisonRow = namedtuple("ComparisonRow", [f.name for f in fields(ComparisonTable)])
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def _load_dist(args) -> AmplitudeDistribution:
             raise DomainError(f"{source}: not UTF-8 text: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string digit limit
         raise DomainError(f"{source}: invalid JSON: {exc}") from None
     except RecursionError:
         raise DomainError(f"{source}: JSON nested too deeply") from None

@@ -14,21 +14,21 @@ per number:
   integer p + t is rounded only where the fraction of t lies farther from
   1/2 than 2^-40, far above the product's error (below 1e-14).
 * An integer v with |v| <= 2^53 is its exact double, whose `%.17g` text is
-  its `%d` text (E <= 15, so v * 10^(16 - E) is exact).  Any other `%d`/`%s`
-  cell (an int past 2^53, a bool, an object such as "") becomes NaN.
+  its `%d` text (E <= 15, so v * 10^(16 - E) is exact).  An integer past
+  2^53 becomes NaN.
 
-Each cell is six 8-byte words, then the words of a long literal, and one
-translate per run of rows deletes their zero bytes.  Words 0-4 hold twenty
-digits, the mantissa's 17 last, each with a point slot after it: with n
-significant digits and q before the point (E + 1 printed fixed, 1 with an
-exponent, 0 below 1), the first max(n, q) show, and the point after the
-first q when n > q.  The first three never show, so word 0's bytes 0-5 hold
-the sign and the "0." to "0.000" of a value below 1.  Word 5 holds the
-exponent ("e-05" to "e+290") and the literal's first three bytes; an empty
-cell keeps only its literal.  A row holding a value the kernel cannot
-certify (a decimal tie such as 2^-25, a NaN or infinity, an exponent outside
-the power table) is written by `row_format % row` from its original cells,
-with "" in an empty cell.
+Each cell is six 8-byte words, and one translate per run of rows deletes
+their zero bytes.  Words 0-4 hold twenty digits, the mantissa's 17 last,
+each with a point slot after it: with n significant digits and q before the
+point (E + 1 printed fixed, 1 with an exponent, 0 below 1), the first
+max(n, q) show, and the point after the first q when n > q.  The first
+three never show, so word 0's bytes 0-5 hold the sign and the "0." to
+"0.000" of a value below 1.  Word 5 holds the exponent ("e-05" to "e+290")
+and, at byte 5, the comma or newline after the cell; an empty cell keeps
+only that byte.  A row holding a value the kernel cannot certify (a decimal
+tie such as 2^-25, a NaN or infinity, an exponent outside the power table)
+is written by `row_format % row` from its original cells, with "" in an
+empty cell.
 
 The kernel pays about a hundred numpy calls per block whatever the block's
 size, so a table of at most SMALL_CELLS cells (rows times columns) goes
@@ -40,7 +40,6 @@ row; a 21-row `k,p_k` table takes 33 us through `%` and 156 us in the kernel.
 
 from __future__ import annotations
 
-import re
 from functools import cache
 
 import numpy as np
@@ -52,7 +51,7 @@ BLOCK_CELLS = 4096
 # kernel's fixed cost per block.
 SMALL_CELLS = 256
 
-# A cell's literal starts at byte 5 of word 5, after the exponent.
+# The comma or newline after a cell is byte 5 of word 5, after the exponent.
 _LITERAL_AT = 45
 # The digit of the mantissa that opens each of words 0-4.
 _GROUP_START = np.arange(-3, 17, 4, dtype=np.int8).reshape(5, 1, 1)
@@ -70,14 +69,15 @@ _EXACT = 2**53
 def format_rows(row_format: str, *columns, empty=None):
     """Yield the bytes of row_format % row for every row, a block of rows at a time.
 
-    row_format holds literal text and one `%d`, `%s` or `%.17g` per column.
-    Every cell is converted as a double: a `%d`/`%s` cell that is not an int
-    within 2^53 becomes NaN, so its row goes to `%`.  empty, if given, is a
-    boolean array over the rows; each `%s` cell of its true rows is written
-    as the `%s` of "", an empty cell.  Each block is a bytes-like object; a
-    table of at most SMALL_CELLS cells is one block, written by `%`.
+    row_format is a CSV row, one `%d`, `%s` or `%.17g` per column joined by
+    commas and ended by a newline (any other raises ValueError), over ranges or
+    integer arrays for `%d`/`%s` and float arrays for `%.17g`.  An integer past
+    2^53 becomes NaN, so its row goes to `%`.  empty, if given, is a boolean
+    array over the rows; each `%s` cell of its true rows is written as the `%s`
+    of "", an empty cell.  Each block is a bytes-like object; a table of at most
+    SMALL_CELLS cells is one block, written by `%`.
     """
-    head, empty_cell, kinds = _plan(row_format)
+    empty_cell, kinds = _plan(row_format)
     if len(columns) != len(kinds):
         raise ValueError(f"{row_format!r} takes {len(kinds)} columns, got {len(columns)}")
     n_rows = len(columns[0])
@@ -85,7 +85,7 @@ def format_rows(row_format: str, *columns, empty=None):
         raise ValueError("columns differ in length")
     if empty is not None and (getattr(empty, "dtype", None) != bool or empty.shape != (n_rows,)):
         raise ValueError(f"empty must be a boolean array of {n_rows} rows")
-    blank = [] if empty is None else [j for j, kind in enumerate(kinds) if kind == "s"]
+    blank = [] if empty is None else [j for j, kind in enumerate(kinds) if kind == "%s"]
 
     def rows(numbers):
         """The rows numbered by an index array, from the original cells, with ""
@@ -114,7 +114,7 @@ def format_rows(row_format: str, *columns, empty=None):
             for j in blank:
                 block[marked, j] = empty_cell[j]
                 ok[j, marked] = True
-        yield _emit(head, block, ~ok.all(axis=0), row_format, rows, lo)
+        yield _emit(block, ~ok.all(axis=0), row_format, rows, lo)
 
 
 def _format_rows(row_format: str, rows) -> list[str]:
@@ -123,27 +123,20 @@ def _format_rows(row_format: str, rows) -> list[str]:
 
 
 @cache
-def _plan(row_format: str) -> tuple[bytes, np.ndarray, list[str]]:
-    """What a row format fixes: its opening literal (head), each column's empty
-    cell, zero but for the literal after it, and its conversions (kinds).
-    """
-    parts = re.split(r"%(d|s|\.17g)", row_format)
-    literals, kinds = [p.encode() for p in parts[::2]], parts[1::2]
-    if not kinds or any(b"%" in text or b"\0" in text for text in literals):
+def _plan(row_format: str) -> tuple[np.ndarray, list[str]]:
+    """A CSV row format's conversions (kinds) and each column's empty cell,
+    zero but for the comma or newline after it, at byte _LITERAL_AT."""
+    kinds = row_format[:-1].split(",")
+    if not row_format.endswith("\n") or not set(kinds) <= {"%d", "%s", "%.17g"}:
         raise ValueError(f"unsupported row format {row_format!r}")
-    # The last cell's literal is the closing one followed by the opening one,
-    # so a block's text is the opening literal, the nonzero bytes of the
-    # words, less the opening literal at the end.
-    tails = literals[1:-1] + [literals[-1] + literals[0]]
-    words = np.zeros((len(kinds), -(-(_LITERAL_AT + max(map(len, tails))) // 8) * 8), np.uint8)
-    for i, text in enumerate(tails):
-        words[i, _LITERAL_AT:_LITERAL_AT + len(text)] = np.frombuffer(text, np.uint8)
-    return literals[0], words.view(np.uint64), kinds
+    words = np.zeros((len(kinds), 48), np.uint8)
+    words[:, _LITERAL_AT] = list(b"," * (len(kinds) - 1) + b"\n")
+    return words.view(np.uint64), kinds
 
 
 def _column(col, kind) -> np.ndarray:
-    """The column as float64; a `%d`/`%s` cell that is no int within 2^53 is NaN."""
-    if kind == ".17g":
+    """The column as float64; an integer past 2^53, or any cell of a non-integer array, is NaN."""
+    if kind == "%.17g":
         return np.asarray(col, dtype=np.float64)
     if isinstance(col, range):
         if not col or max(abs(col[0]), abs(col[-1]), abs(col[-1] - col[0])) <= _EXACT:
@@ -155,16 +148,16 @@ def _column(col, kind) -> np.ndarray:
         # np.arange sizes a range by float division, which can drop its end
         col = np.fromiter(col, np.int64, len(col))
     arr = np.asarray(col)
-    if arr.dtype.kind in "iu":
-        values = arr.astype(np.float64)
-        values[(arr < -_EXACT) | (arr > _EXACT)] = np.nan
-        return values
-    return np.array([float(v) if type(v) is int and abs(v) <= _EXACT else np.nan for v in arr])
+    if arr.dtype.kind not in "iu":
+        return np.full(len(arr), np.nan)
+    values = arr.astype(np.float64)
+    values[(arr < -_EXACT) | (arr > _EXACT)] = np.nan
+    return values
 
 
-def _fill(out: np.ndarray, block, literal: np.ndarray) -> np.ndarray:
-    """Fill words 0-5 of out from one block of column slices, word 5 with its
-    literal's bytes; returns the certified cells, (cells, rows) as every per-cell array.
+def _fill(out: np.ndarray, block, separator: np.ndarray) -> np.ndarray:
+    """Fill words 0-5 of out from one block of column slices, word 5 with the
+    comma or newline; returns the certified cells, (cells, rows) as every per-cell array.
     """
     mag, exp, neg, ok = _round17(np.array(block))
     ends, digits, last, keep, before = _tables()
@@ -181,12 +174,11 @@ def _fill(out: np.ndarray, block, literal: np.ndarray) -> np.ndarray:
     np.bitwise_and(digits.take(groups), keep.take(18 * bound + point, axis=1), out=words[:5])
     prefix, suffix = ends.take(2 * e + neg, axis=1)
     words[0] |= prefix
-    np.bitwise_or(suffix, literal, out=words[5])
+    np.bitwise_or(suffix, separator, out=words[5])
     return ok
 
 
-def _emit(head: bytes, out: np.ndarray, fallback: np.ndarray, row_format: str,
-          rows, start: int):
+def _emit(out: np.ndarray, fallback: np.ndarray, row_format: str, rows, start: int):
     """The block's bytes: one translate per run of certified rows, `%` for each other row."""
     fall = fallback.nonzero()[0]
     texts = _format_rows(row_format, rows(fall + start)) if len(fall) else []
@@ -194,8 +186,7 @@ def _emit(head: bytes, out: np.ndarray, fallback: np.ndarray, row_format: str,
     # the closing "" pairs with the end of the block, after the last certified run
     for r, text in zip(fall.tolist() + [len(out)], texts + [""]):
         if lo < r:
-            chunk = out[lo:r].tobytes().translate(None, b"\0")
-            pieces.append(head + chunk[:len(chunk) - len(head)] if head else chunk)
+            pieces.append(out[lo:r].tobytes().translate(None, b"\0"))
         if text:
             pieces.append(text.encode())
         lo = r + 1

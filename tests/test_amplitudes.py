@@ -463,11 +463,12 @@ class TestLoadSpec:
             load_spec({"kind": "weights", "weights": [0.25, 0.751]})
 
     @pytest.mark.parametrize("n", [MAX_ENTRIES + 1, 10**12])
-    @pytest.mark.parametrize("kind", ["uniform", "coherent"])
-    def test_n_above_cap_rejected_before_allocation(self, monkeypatch, kind, n):
+    @pytest.mark.parametrize("kind, fields", [("uniform", {}),
+                                              ("coherent", {"alpha_re": 0.8, "q1": 1})])
+    def test_n_above_cap_rejected_before_allocation(self, monkeypatch, kind, fields, n):
         _forbid_building(monkeypatch)
         with pytest.raises(DomainError, match=f"'n' must be <= {MAX_ENTRIES}, got {n}"):
-            load_spec({"kind": kind, "alpha_re": 0.8, "q1": 1, "n": n})
+            load_spec({"kind": kind, "n": n, **fields})
 
     def test_weights_above_cap_rejected_before_building(self, monkeypatch):
         _forbid_building(monkeypatch)
@@ -476,6 +477,22 @@ class TestLoadSpec:
 
     def test_n_at_cap_accepted(self):
         assert load_spec({"kind": "uniform", "n": MAX_ENTRIES}).size == MAX_ENTRIES
+
+    @pytest.mark.parametrize("spec, unknown", [
+        ({"kind": "uniform", "n": 4, "q1": 1}, "'q1'"),
+        ({"kind": "coherent", "alpha_re": 0.8, "alpha_img": 0.5, "q1": 1, "n": 4}, "'alpha_img'"),
+        ({"kind": "weights", "weights": [0.5, 0.5], "n": 2, "N": 2}, "'N', 'n'"),
+    ])
+    def test_field_the_kind_does_not_read_rejected_before_building(self, monkeypatch, spec,
+                                                                   unknown):
+        _forbid_building(monkeypatch)
+        with pytest.raises(DomainError, match=f"unknown field\\(s\\) {unknown} in a {spec['kind']}"):
+            load_spec(spec)
+
+    @pytest.mark.parametrize("kind", [["uniform"], {"a": 1}, None, 1.5])
+    def test_unhashable_or_non_string_kind_is_unknown(self, kind):
+        with pytest.raises(DomainError, match="unknown distribution kind"):
+            load_spec({"kind": kind, "n": 4})
 
     def test_bad_specs(self):
         with pytest.raises(DomainError):

@@ -90,6 +90,26 @@ class TestDistCommand:
         assert err.count("\n") == 1 and "nested too deeply" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["--inline", "--spec"])
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys, source):
+        # json.loads raises a plain ValueError on an integer of more than 4300 digits
+        text = '{"kind":"uniform","n":%s}' % ("1" * 4301)
+        if source == "--spec":
+            (tmp_path / "db.json").write_text(text)
+            text = str(tmp_path / "db.json")
+        assert run("dist", source, text, "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid JSON" in err and "4301 digits" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_field_the_kind_does_not_read_exits_1(self, tmp_path, capsys):
+        # a typo of alpha_im is named, not read as alpha_im = 0
+        typo = '{"kind":"coherent","alpha_re":0.8,"alpha_img":0.5,"q1":1,"n":20}'
+        assert run("dist", "--inline", typo, "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown field(s) 'alpha_img'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_spec_exits_1(self, tmp_path):
         assert run("dist", "--inline", '{"kind":"uniform","n":1}', "--out", str(tmp_path)) == 1
 

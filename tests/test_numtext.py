@@ -8,7 +8,6 @@ rule run at its real value.
 """
 
 import math
-import re
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -23,10 +22,8 @@ from wgrover.amplitudes import truncated_coherent, uniform
 from wgrover.continuum import fit_one_step_solution, period
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
-# Literals of 0-20 printable bytes, and floats of every decade, so of every
-# prefix ("-0.000") and exponent width ("e-05" to "e+308"), and subnormals.
-LITERALS = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="%"),
-                   max_size=20)
+# Floats of every decade, so of every prefix ("-0.000") and exponent width
+# ("e-05" to "e+308"), and subnormals.
 DECADES = st.integers(-320, 308) | st.sampled_from([-5, -4, -3, -2, -1, 16, 17, -100, 100])
 FLOATS = st.one_of(st.floats(), st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), DECADES),
                    st.floats(-(2.0**-1022), 2.0**-1022))
@@ -43,8 +40,8 @@ def oracle(row_format, *columns, empty=None):
     """row_format % row over the rows, "" in each `%s` cell of a row that empty marks."""
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns))
     if empty is not None:
-        kinds = re.findall(r"%(d|s|\.17g)", row_format)
-        rows = (tuple("" if e and kind == "s" else v for kind, v in zip(kinds, row))
+        kinds = row_format[:-1].split(",")
+        rows = (tuple("" if e and kind == "%s" else v for kind, v in zip(kinds, row))
                 for e, row in zip(empty.tolist(), rows))
     return "".join(row_format % row for row in rows).encode()
 
@@ -65,7 +62,7 @@ def test_g17_matches_percent_on_any_float(values):
 
 @given(st.lists(INT64, min_size=1, max_size=40))
 def test_d_matches_percent_on_int64(values):
-    assert_matches("%d;%s\n", np.array(values, dtype=np.int64), np.array(values, dtype=np.int64))
+    assert_matches("%d,%s\n", np.array(values, dtype=np.int64), np.array(values, dtype=np.int64))
 
 
 @given(st.lists(st.tuples(INT64, st.floats(), st.floats(allow_nan=False)), min_size=1, max_size=30))
@@ -95,7 +92,7 @@ def test_g17_fixed_and_exponent_boundaries():
              123456789012345678.0, 0.1, 0.2, 0.3, 0.25, 1.0, -0.0, 0.0, 5e-324,
              1.7976931348623157e308]
     values = np.array(edges + [math.nextafter(x, math.inf) for x in edges])
-    assert_matches("%.17g|%.17g\n", values, -values)
+    assert_matches("%.17g,%.17g\n", values, -values)
     # Hypothesis floats nearly always show 17 digits.  Decimal strings of 1-17
     # significant digits, at each exponent printed fixed and past both ends,
     # give the shorter mantissas, such as 1.5e+20 or 0.00012.
@@ -103,7 +100,7 @@ def test_g17_fixed_and_exponent_boundaries():
     values = np.array([float(f"{p[:n - 1]}{last}e{e - n + 1}")
                        for e in [*range(-6, 19), -100, 100, -280, 290] for n in range(1, 18)
                        for p in prefixes for last in "123456789"])
-    assert_matches("%.17g|%.17g\n", values, -values)
+    assert_matches("%.17g,%.17g\n", values, -values)
 
 
 def test_g17_round_up_carries_into_the_exponent():
@@ -124,20 +121,18 @@ def test_g17_round_up_carries_into_the_exponent():
 def test_literals_and_blocks(monkeypatch, through_the_kernel):
     monkeypatch.setattr(numtext, "BLOCK_CELLS", 7)
     x = np.linspace(-3.0, 700.0, 101)
-    assert_matches('<p k="%d" x="%.17g">%.17g</p>\n', np.arange(101) - 50, x, x[::-1] / 7)
-    assert_matches("%s", np.array(["", 5, -7, "", 0], dtype=object))
+    assert_matches("%d,%.17g,%.17g\n", np.arange(101) - 50, x, x[::-1] / 7)
 
 
 @st.composite
 def tables(draw, cells=None):
-    """A row format of random literals around 1-4 cells, its columns and an empty mask.
+    """A CSV row format of 1-4 cells, its columns and an empty mask.
 
     1-12 rows, or with cells given the row count whose cells lie just below,
     at or just above it; each column then repeats its first 12 values.
     """
     kinds = draw(st.lists(st.sampled_from(["%d", "%s", "%.17g"]), min_size=1, max_size=4))
-    literals = [draw(LITERALS) for _ in range(len(kinds) + 1)]
-    row_format = literals[0] + "".join(map(str.__add__, kinds, literals[1:]))
+    row_format = ",".join(kinds) + "\n"
     if cells is None:
         n = draw(st.integers(1, 12))
     else:
@@ -153,8 +148,8 @@ def tables(draw, cells=None):
 
 @given(tables())
 def test_literals_prefixes_and_exponents_across_blocks(table):
-    # each literal starts in the exponent's word and each prefix shares the
-    # first digits' word; blocks of 7 cells split rows and runs
+    # each comma or newline sits in the exponent's word and each prefix shares
+    # the first digits' word; blocks of 7 cells split rows and runs
     row_format, columns, empty = table
     with mock.patch.object(numtext, "BLOCK_CELLS", 7):
         got = kernel(row_format, *columns, empty=empty)
@@ -191,7 +186,7 @@ def test_small_tables_skip_the_kernel(monkeypatch, tmp_path):
 @given(st.lists(st.tuples(st.booleans(), INT64, st.floats()), min_size=1, max_size=40))
 def test_empty_cells_match_percent_of_the_empty_string(rows):
     empty, ks, xs = (np.array(c) for c in zip(*rows))
-    row_format = "<%s|%d|%s|%.17g>\n"
+    row_format = "%s,%d,%s,%.17g\n"
     want = "".join(row_format % ("" if e else k, k, "" if e else k, x) for e, k, x in rows)
     assert kernel(row_format, ks, ks, ks, xs, empty=empty) == want.encode()
 
@@ -219,8 +214,9 @@ def test_empty_mask_must_hold_one_boolean_per_row(monkeypatch):
 
 
 def test_unsupported_formats_raise():
-    # %.2f is left to Python's %: plots hold a few thousand coordinates
-    for row_format in ("%r\n", "%.2f\n", "%.3f\n", "no conversion", "%d%%\n"):
+    # only CSV rows of %d, %s and %.17g cells, each followed by "," or the closing "\n"
+    for row_format in ("%r\n", "%.2f\n", "%.3f\n", "no conversion", "%d%%\n",
+                       '<p k="%d">%.17g</p>\n', "%d;%s\n", "%.17g", "", "\n", "%d,\n"):
         with pytest.raises(ValueError):
             kernel(row_format, np.arange(3))
     with pytest.raises(ValueError, match="differ in length"):
@@ -293,6 +289,7 @@ def test_integers_within_2_53_are_exact_and_only_other_cells_fall_back(fallback_
         assert kernel("%d,%s\n", labels, labels) == oracle("%d,%s\n", labels, labels)
     assert [row[0] for row in fallback_rows] == [2**53 + 1]
     fallback_rows.clear()
-    cells = np.array([7, "", -3, True, 2**53], dtype=object)
-    assert kernel("%d,%s\n", range(5), cells) == oracle("%d,%s\n", range(5), cells)
-    assert [row[0] for row in fallback_rows] == [1, 3]
+    # a float or bool array is no integer column: each of its rows goes to `%`
+    for cells in (np.array([2.5, -1.0]), np.array([True, False])):
+        assert kernel("%d,%s\n", cells, cells) == oracle("%d,%s\n", cells, cells)
+    assert fallback_rows == [(2.5, 2.5), (-1.0, -1.0), (True, True), (False, False)]
