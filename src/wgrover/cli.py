@@ -101,8 +101,11 @@ def _load_dist(args) -> AmplitudeDistribution:
             raise DomainError(f"{source}: not UTF-8 text: {exc}") from None
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string digit limit
+    except json.JSONDecodeError as exc:
         raise DomainError(f"{source}: invalid JSON: {exc}") from None
+    except ValueError:  # an integer past the interpreter's int-string digit limit
+        raise DomainError(f"{source}: invalid JSON: an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise DomainError(f"{source}: JSON nested too deeply") from None
     return load_spec(obj)
@@ -149,12 +152,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_continuum(args) -> int:
     # fit and size the grid first: a run that exits 1 writes nothing
-    sol, t_period = _continuum_fit(_load_dist(args).amplitude(args.target))
+    sol = continuum.fit_one_step_solution(_load_dist(args).amplitude(args.target))
+    xs = csvio.continuum_grid(sol)
     out = _ensure_out(args)
     title = f"continuum approximation, target k={args.target}" if args.svg else None
-    _continuum_artifacts(out, sol, t_period, title)
+    _continuum_artifacts(out, sol, xs, title)
     x_star = continuum.predicted_peak_step(sol)
-    print(f"x*={x_star:.6g} T={t_period:.6g}")
+    print(f"x*={x_star:.6g} T={continuum.period(sol.p_k):.6g}")
     return EXIT_OK
 
 
@@ -187,18 +191,9 @@ def _distribution_artifacts(out: Path, stem: str, dist: AmplitudeDistribution,
         svg.bar_plot(out / f"{stem}.svg", dist.labels, props, title, "label k", "p_k")
 
 
-def _continuum_fit(p_k: complex):
-    """The fitted solution and its period T; raises DomainError if three periods
-    need more than csvio.MAX_CONTINUUM_ROWS samples."""
-    sol = continuum.fit_one_step_solution(p_k)
-    t_period = continuum.period(p_k)
-    csvio.continuum_rows(3.0 * t_period)
-    return sol, t_period
-
-
-def _continuum_artifacts(out: Path, sol, t_period: float, title: str | None) -> None:
-    """continuum.csv over three periods, plus continuum.svg when title is given."""
-    xs, fa, fb = csvio.write_continuum(out / "continuum.csv", sol, x_max=3.0 * t_period)
+def _continuum_artifacts(out: Path, sol, xs, title: str | None) -> None:
+    """continuum.csv on the grid xs, plus continuum.svg when title is given."""
+    fa, fb = csvio.write_continuum(out / "continuum.csv", sol, xs)
     if title is not None:
         svg.line_plot(out / "continuum.svg", [("f_a", xs, fa), ("f_b", xs, fb)], title, "x", "f")
 
@@ -237,7 +232,8 @@ def _target_figure(spec: dict, k: int, title: str):
         dist = load_spec(spec)
         traj = grover_core.iterate(dist, k, FIG_TRAJECTORY_STEPS)
         _trajectory_artifacts(out, traj, f"{title}: recurrence")
-        _continuum_artifacts(out, *_continuum_fit(dist.amplitude(k)), f"{title}: continuum")
+        sol = continuum.fit_one_step_solution(dist.amplitude(k))
+        _continuum_artifacts(out, sol, csvio.continuum_grid(sol), f"{title}: continuum")
     return write
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numtext
 from .analysis import ComparisonRow, ComparisonTable
-from .continuum import ContinuumSolution, eval_fa, eval_fb
+from .continuum import ContinuumSolution, eval_fa, eval_fb, period
 from .errors import DomainError
 from .grover_core import Trajectory
 
@@ -55,28 +55,23 @@ def write_trajectory(path: Path, traj: Trajectory) -> None:
            traj.a.imag, traj.b.real, traj.b.imag, traj.prob)
 
 
-def continuum_rows(x_max: float) -> int:
-    """Rows of the grid [0, x_max]; above MAX_CONTINUUM_ROWS raises DomainError."""
+def continuum_grid(sol: ContinuumSolution) -> np.ndarray:
+    """Three periods [0, 3T] at CONTINUUM_STEP; above MAX_CONTINUUM_ROWS raises DomainError."""
+    x_max = 3.0 * period(sol.p_k)
     steps = x_max / CONTINUUM_STEP
     if not (math.isfinite(steps) and round(steps) + 1 <= MAX_CONTINUUM_ROWS):
         raise DomainError(
             f"continuum sampling of [0, {x_max:.6g}] at step {CONTINUUM_STEP} needs "
             f"{steps + 1:.3g} rows, above the limit of {MAX_CONTINUUM_ROWS}"
         )
-    return round(steps) + 1
+    return np.arange(round(steps) + 1) * CONTINUUM_STEP
 
 
-def write_continuum(path: Path, sol: ContinuumSolution,
-                    x_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample f_a, f_b over [0, x_max] at CONTINUUM_STEP and write them.
-
-    Returns the samples as arrays (x, f_a, f_b).  A grid of more than
-    MAX_CONTINUUM_ROWS rows raises DomainError before the file is opened.
-    """
-    xs = np.arange(continuum_rows(x_max)) * CONTINUUM_STEP
+def write_continuum(path: Path, sol: ContinuumSolution, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Sample f_a, f_b on the grid xs (continuum_grid), write them and return (f_a, f_b)."""
     fa, fb = eval_fa(sol, xs), eval_fb(sol, xs)
     _write(path, CONTINUUM_HEADER, CONTINUUM_ROW, xs, fa, fb)
-    return xs, fa, fb
+    return fa, fb
 
 
 def write_comparison(path: Path, table: ComparisonTable) -> None:

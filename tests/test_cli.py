@@ -99,7 +99,8 @@ class TestDistCommand:
             text = str(tmp_path / "db.json")
         assert run("dist", source, text, "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "invalid JSON" in err and "4301 digits" in err
+        assert err.count("\n") == 1 and "invalid JSON" in err and "more than 4300 digits" in err
+        assert "set_int_max_str_digits" not in err
         assert not (tmp_path / "o").exists()
 
     def test_field_the_kind_does_not_read_exits_1(self, tmp_path, capsys):

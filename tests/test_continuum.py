@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgrover import csvio
 from wgrover.amplitudes import AmplitudeDistribution, load_spec, truncated_coherent, uniform
 from wgrover.continuum import (
     ContinuumSolution,
+    _libm_exp,
     delta_tilde,
     eval_fa,
     eval_fb,
@@ -163,6 +165,34 @@ class TestEvaluation:
         t = period(p)
         damping = math.exp(-2 * p * p * t)
         assert eval_fa(sol, x + t) == pytest.approx(damping * eval_fa(sol, x), abs=1e-12)
+
+
+class TestLibmExp:
+    def test_matches_math_exp_bit_for_bit(self):
+        # a seeded sweep of [-745, 0], both zeros, and arguments whose exp is subnormal
+        rng = np.random.default_rng(28)
+        values = np.concatenate([rng.uniform(-745.0, 0.0, 200_001),
+                                 [0.0, -0.0, -708.4, -709.0, -730.0, -744.4, -745.0]])
+        expected = np.array([math.exp(v) for v in values.tolist()])
+        assert 0.0 < expected[-1] < expected[-5] < np.finfo(np.float64).smallest_normal
+        got = _libm_exp(values.reshape(2, -1))
+        assert got.shape == (2, values.size // 2)
+        assert got.ravel().tobytes() == expected.tobytes()
+
+
+class TestContinuumGrid:
+    def test_three_periods_at_step_0_01(self):
+        for proportion in np.logspace(-6, math.log10(0.99), 25):
+            p = math.sqrt(proportion)
+            expected = np.arange(round(3.0 * period(p) / 0.01) + 1) * 0.01
+            grid = csvio.continuum_grid(fit_one_step_solution(p))
+            assert grid.tobytes() == expected.tobytes(), proportion
+
+    def test_deep_tail_target_refused(self):
+        # k = 21 of the alpha = 0.8 window: [0, 3T] at step 0.01 is ~7e14 rows
+        p_k = truncated_coherent(0.8, 1, 20).amplitude(21)
+        with pytest.raises(DomainError, match="above the limit of 1000000"):
+            csvio.continuum_grid(fit_one_step_solution(p_k))
 
 
 class TestPeriod:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from wgrover import analysis, csvio, grover_core, numtext
 from wgrover.amplitudes import truncated_coherent, uniform
-from wgrover.continuum import fit_one_step_solution, period
+from wgrover.continuum import fit_one_step_solution
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 # Floats of every decade, so of every prefix ("-0.000") and exponent width
@@ -248,8 +248,9 @@ def test_real_trajectory_and_continuum_need_no_fallback(tmp_path, fallback_rows)
     traj = grover_core.iterate(uniform(20), 1, 5000)
     csvio.write_trajectory(tmp_path / "trajectory.csv", traj)
     p_k = truncated_coherent(0.8, 1, 20).amplitude(3)
-    xs, _, _ = csvio.write_continuum(tmp_path / "continuum.csv", fit_one_step_solution(p_k),
-                                     x_max=3.0 * period(p_k))
+    sol = fit_one_step_solution(p_k)
+    xs = csvio.continuum_grid(sol)
+    csvio.write_continuum(tmp_path / "continuum.csv", sol, xs)
     assert len(xs) > 1000
     assert fallback_rows == []
     dist = truncated_coherent(0.8, 1, 20)
