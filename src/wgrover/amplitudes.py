@@ -27,7 +27,7 @@ NORM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-6
 # Upper bound on a spec's n and weights list, checked before any allocation.
 MAX_ENTRIES = 10**6
-# |P|^2 is summed by np.vdot over pieces this long: no BLAS order errs past 4.5e-13 in one.
+# _sum_of_squares adds |P|^2 over pieces this long: no BLAS order errs past 4.5e-13 in one.
 NORM_PIECE = 1 << 11
 
 
@@ -60,8 +60,7 @@ class AmplitudeDistribution:
             )
         if amps.ndim != 1 or len(labels) != amps.shape[0]:
             raise DomainError("labels and amplitudes must be 1-d and equally long")
-        total = sum(float(np.vdot(amps[i:i + NORM_PIECE], amps[i:i + NORM_PIECE]).real)
-                    for i in range(0, len(amps), NORM_PIECE))
+        total = _sum_of_squares(amps)
         # a NaN or infinite amplitude makes the sum NaN or infinite
         if not math.isfinite(total):
             raise DomainError(f"amplitudes must be finite: sum |P|^2 = {total!r}")
@@ -95,6 +94,13 @@ class AmplitudeDistribution:
     def proportions(self) -> np.ndarray:
         """All |P(n)|^2 in label order, by the comparison table's expression."""
         return np.float_power(np.hypot(self.amplitudes.real, self.amplitudes.imag), 2)
+
+
+def _sum_of_squares(amps: np.ndarray) -> float:
+    """Sum |P|^2 in order over NORM_PIECE pieces, each as numpy's vector 2-norm sums it."""
+    pieces = (amps[i:i + NORM_PIECE] for i in range(0, len(amps), NORM_PIECE))
+    with np.errstate(over="ignore"):  # an overflow sums to inf, which the constructor rejects
+        return sum(float(p.real.dot(p.real) + p.imag.dot(p.imag)) for p in pieces)
 
 
 def target_proportions(mag, labels=None):
@@ -136,10 +142,10 @@ def truncated_coherent(alpha: complex, q1: int, n: int) -> AmplitudeDistribution
     ratio P(k) / P(k-1) = a / sqrt(k), relative to label q1: the log-magnitude
     is a running sum of (ln|a|^2 - ln j) / 2 over j = q1+1..k, and the phase is
     arg(a) * (k - q1).  The common factor e^{i arg(a) q1}, which no probability
-    sees, is dropped.  The window holds N+1 labels, shifted by its largest
-    log-magnitude and renormalized, so even deep Poisson tails keep their
-    correct relative size.  Logarithms are math.log and the exponential is
-    complex np.exp, both libm, so the bits do not depend on numpy's SIMD loops.
+    sees, is dropped.  The N+1 labels are shifted by the largest log-magnitude,
+    exponentiated and divided by sqrt(_sum_of_squares), so deep Poisson tails keep
+    their relative size.  With libm's log and exp (math.log, complex np.exp), no bit
+    depends on numpy's SIMD loops or on OpenBLAS's thread count.
     """
     _check_coherent_args(alpha, q1, n)
     logs = np.fromiter(map(math.log, range(q1 + 1, q1 + n + 1)), np.float64, n)
@@ -148,7 +154,7 @@ def truncated_coherent(alpha: complex, q1: int, n: int) -> AmplitudeDistribution
     amps = (1j * cmath.phase(complex(alpha))) * np.arange(n + 1)
     amps += log_mag - log_mag.max()
     np.exp(amps, out=amps)
-    amps /= np.linalg.norm(amps)
+    amps /= math.sqrt(_sum_of_squares(amps))
     return AmplitudeDistribution(labels=range(q1, q1 + n + 1), amplitudes=amps)
 
 

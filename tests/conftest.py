@@ -1,7 +1,7 @@
 """Suite-wide settings: the `ci` Hypothesis profile runs more examples.
 
     python -m pytest tests/test_numtext.py tests/test_svg.py tests/test_cli_fuzz.py \
-        --hypothesis-profile=ci
+        tests/test_amplitudes.py --hypothesis-profile=ci
 """
 
 from hypothesis import settings

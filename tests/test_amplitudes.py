@@ -1,5 +1,7 @@
 """Tests for distribution construction, normalization, and queries."""
 
+import cmath
+import itertools
 import math
 import os
 import re
@@ -9,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from wgrover import amplitudes
 from wgrover.amplitudes import (
     MAX_ENTRIES,
+    NORM_PIECE,
     AmplitudeDistribution,
     load_spec,
     truncated_coherent,
@@ -26,6 +29,7 @@ from wgrover.errors import DomainError, LabelNotFoundError
 
 
 TINY = np.finfo(float).tiny
+EPS = np.finfo(float).eps
 
 
 def naive_coherent_magnitudes(alpha_abs: float, q1: int, n: int) -> list[float]:
@@ -38,6 +42,22 @@ def naive_coherent_magnitudes(alpha_abs: float, q1: int, n: int) -> list[float]:
         norm * math.exp(-lam / 2) * alpha_abs**k / math.sqrt(math.factorial(k))
         for k in range(q1, q1 + n + 1)
     ]
+
+
+def poisson_window_errors(alpha: complex, q1: int, n: int) -> tuple[list, list]:
+    """The coherent window's |P(k)|^2 against the Poisson window lam^k / k!, lam = |alpha|^2,
+    renormalized over the same labels in 60-digit mpmath: relative errors where the reference
+    is at least the smallest normal double, absolute errors where it is below."""
+    spec = {"kind": "coherent", "alpha_re": alpha.real, "alpha_im": alpha.imag, "q1": q1, "n": n}
+    got = load_spec(spec).proportions().tolist()
+    with mp.workdps(60):
+        log_lam = mp.log(mp.mpf(alpha.real) ** 2 + mp.mpf(alpha.imag) ** 2)
+        logs = [k * log_lam - mp.loggamma(k + 1) for k in range(q1, q1 + n + 1)]
+        weights = [mp.exp(v - max(logs)) for v in logs]
+        want = [w / mp.fsum(weights) for w in weights]
+        rel = [float(abs(mp.mpf(g) / w - 1)) for g, w in zip(got, want) if w >= TINY]
+        far = [abs(g - float(w)) for g, w in zip(got, want) if w < TINY]
+    return rel, far
 
 
 def weights_dist(weights) -> AmplitudeDistribution:
@@ -182,6 +202,35 @@ class TestTruncatedCoherent:
         assert float(max(rel)) <= 4 * np.finfo(float).eps * scale
         assert max(far, default=0.0) <= TINY
 
+    # Off the grid above, the bound needs two more terms (first-order rounding analysis).
+    # Each log-ratio ln|alpha|^2 - ln j is the difference of two logarithms, each rounded
+    # relative to its own size, so |ln|alpha|^2| + ln j replaces |ln|alpha|^2 - ln j|; the
+    # two cancel for a window at the Poisson mode.  And the running sum rounds each partial
+    # sum relative to its size (Higham, Accuracy and Stability of Numerical Algorithms,
+    # section 4.2), which adds the sum over k of |sum_{j <= k} (ln|alpha|^2 - ln j)|.
+    # The first example, far above its mode, is 4.07 eps times the grid's scale; the second,
+    # at its mode, is 15 eps times the grid's scale plus the partial sums.
+    @settings(deadline=None)
+    @given(
+        alpha=st.builds(cmath.rect,
+                        st.floats(math.log(2.2e-162), math.log(1.3e154)).map(math.exp),
+                        st.floats(-math.pi, math.pi)),
+        q1=st.integers(0, 62).flatmap(lambda b: st.integers(2**b - 1, 2**(b + 1) - 2)),
+        n=st.integers(2, 64),
+    )
+    @example(alpha=complex(2.3538526683702e17), q1=686_636_838_866_726, n=58)
+    @example(alpha=complex(-61189555.74409499, 936362630.5490599), q1=880_519_137_620_914_688,
+             n=63)
+    def test_any_admitted_window_against_mpmath_poisson_window(self, alpha, q1, n):
+        q1 = min(q1, 2**63 - n - 1)
+        rel, far = poisson_window_errors(alpha, q1, n)
+        log_lam = 2 * math.log(abs(alpha))
+        logs = [math.log(j) for j in range(q1 + 1, q1 + n + 1)]
+        scale = (n + 1 + sum(abs(log_lam) + v for v in logs)
+                 + sum(map(abs, itertools.accumulate(log_lam - v for v in logs))))
+        assert max(rel) <= 4 * EPS * scale
+        assert max(far, default=0.0) <= TINY
+
 
 class TestFromWeights:
     """A weights spec, built through load_spec."""
@@ -309,6 +358,16 @@ if cores == {"Nehalem"}:
 """
 
 
+# Prints the sha256 of the coherent window alpha = 1000, q1 = 0, N = 10^6.
+THREADS_CHILD = """
+import hashlib
+from wgrover.amplitudes import load_spec
+
+dist = load_spec({"kind": "coherent", "alpha_re": 1000.0, "q1": 0, "n": 10**6})
+print(hashlib.sha256(dist.amplitudes.tobytes()).hexdigest())
+"""
+
+
 class TestInvariants:
     @pytest.mark.parametrize(
         "dist",
@@ -408,6 +467,25 @@ class TestInvariants:
                              text=True, check=True, timeout=60).stdout
         if not out.endswith("built"):
             pytest.skip(f"numpy's BLAS did not run OpenBLAS's Nehalem kernel: {out!r}")
+
+    def test_coherent_window_bits_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits one dot over a whole 10^6-label window among its threads, which
+        # changes the norm's last bits; a NORM_PIECE piece is too short to split
+        def window_hash(threads):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(amplitudes.__file__).parents[1])}
+            return subprocess.run([sys.executable, "-c", THREADS_CHILD], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=60).stdout
+        assert window_hash("1") == window_hash("2")
+
+    def test_one_piece_sums_as_the_vector_norm(self):
+        # so a window of at most NORM_PIECE labels, each golden one among them, is
+        # divided by the same norm as by np.linalg.norm, bit for bit
+        rng = np.random.default_rng(30)
+        for n in range(1, NORM_PIECE + 1):
+            x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3)
+            assert math.sqrt(amplitudes._sum_of_squares(x)) == np.linalg.norm(x)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_proportions_rejected(self, bad):
