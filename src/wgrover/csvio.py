@@ -3,11 +3,14 @@
 Floats are printed with 17 significant digits so a written file parses
 back to bit-identical values; no timestamps or environment data ever go
 into a data file, which makes reproduction runs byte-comparable.
+`_write_bytes` puts every CSV and SVG file on disk, all or nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +42,23 @@ DISTRIBUTION_ROW = "%d,%.17g\n"
 COMPARISON_ROW = "%d,%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
 
 
+def _write_bytes(path: Path, chunks) -> None:
+    """Stream the byte chunks to ".NAME.PID.part" beside path and os.replace it onto path;
+    on any exception remove it and keep the old file.  No fsync: errors, not power loss."""
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with open(part, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _write(path: Path, header: list[str], row_format: str, *columns, empty=None) -> None:
     """Write the header, then the columns' rows through row_format, streamed."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        fh.writelines(numtext.format_rows(row_format, *columns, empty=empty))
+    _write_bytes(path, itertools.chain([(",".join(header) + "\n").encode()],
+                                       numtext.format_rows(row_format, *columns, empty=empty)))
 
 
 def write_distribution(path: Path, labels, proportions) -> None:

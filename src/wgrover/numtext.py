@@ -104,7 +104,6 @@ def format_rows(row_format: str, *columns, empty=None):
     cols = list(map(_column, columns, kinds))
     step = max(1, BLOCK_CELLS // len(cols))
     out = np.empty((min(n_rows, step),) + empty_cell.shape, np.uint64)
-    out[:] = empty_cell
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
         block = out[:hi - lo]

@@ -1,12 +1,12 @@
 """Minimal deterministic SVG line and bar plots.
 
-Just axes, ticks, series, and a small legend: enough to eyeball a curve
-against a published figure.  Output is a pure function of the data (fixed
-coordinate precision, no ids, no timestamps), so repeated runs produce
-byte-identical files.  A plot holds O(pixels) shapes whatever the data
-size: a long line series is reduced by M4, and many bars to each pixel
-column's tallest, in one pass over blocks of points that end at column
-boundaries, so the temporaries stay at a block's size whatever the length.
+Just axes, ticks, series, and a small legend: enough to eyeball a curve against a
+published figure.  Output is a pure function of the data (fixed coordinate precision,
+no ids, no timestamps, UTF-8 with LF line ends on every platform), so repeated runs
+produce byte-identical files.  A plot holds O(pixels) shapes whatever the data size: a
+long line series is reduced by M4, and many bars to each pixel column's tallest, in one
+pass over blocks of points that end at column boundaries, so the temporaries stay at a
+block's size whatever the length.
 
 Polyline vertices are written byte-exact with Python's `"%.2f,%.2f "` from
 arrays, not one `%` per number.  For a coordinate v in [0, 1000), the
@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import _write_bytes
 from .numtext import _split
 
 WIDTH, HEIGHT = 640, 420
@@ -246,7 +247,7 @@ def line_plot(
                   f'stroke="{color}" stroke-width="1.5"/>',
                   f'<text x="{lx + 28}" y="{ly + 4}">{name}</text>']
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    _write_bytes(path, [("\n".join(parts) + "\n").encode()])
 
 
 def bar_plot(
@@ -274,4 +275,4 @@ def bar_plot(
     bars = np.column_stack([xs, ys, np.full(len(ys), width), MARGIN_T + PLOT_H - ys])
     parts.append((BAR * len(ys) % tuple(bars.ravel().tolist()))[:-1])
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    _write_bytes(path, [("\n".join(parts) + "\n").encode()])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import wgrover
-from wgrover import amplitudes, analysis, cli, csvio, grover_core
+from wgrover import amplitudes, analysis, cli, csvio, grover_core, numtext, svg
 from wgrover.amplitudes import MAX_ENTRIES, load_spec
 from wgrover.cli import MAX_RMAX, main
 
@@ -454,6 +454,120 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "validation error" in captured.err
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The paths passed to the one artifact writer, in call order; Path.write_text raises."""
+    paths, real = [], csvio._write_bytes
+
+    def counted(path, chunks):
+        paths.append(path)
+        real(path, chunks)
+
+    def write_text(self, *args, **kwargs):
+        raise AssertionError(f"{self} written past the artifact writer")
+
+    monkeypatch.setattr(csvio, "_write_bytes", counted)
+    monkeypatch.setattr(svg, "_write_bytes", counted)
+    monkeypatch.setattr(Path, "write_text", write_text)
+    return paths
+
+
+class TestAllOrNothingWrites:
+    """Every artifact reaches disk through csvio._write_bytes: a failed write
+    keeps the old file byte for byte and leaves no temporary file."""
+
+    def test_failed_csv_stream_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
+        assert run("compare", "--inline", COHERENT08, "--out", str(tmp_path)) == 0
+        old = (tmp_path / "comparison.csv").read_bytes()
+        real = numtext.format_rows
+
+        def first_block_then_full_disk(*args, **kwargs):
+            blocks = real(*args, **kwargs)
+            yield next(blocks)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(numtext, "format_rows", first_block_then_full_disk)
+        capsys.readouterr()
+        # 2 000 rows of 9 cells are five blocks of the kernel
+        assert run("compare", "--inline", '{"kind":"uniform","n":2000}',
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "wgrover: i/o error: [Errno 28] No space left on device"]
+        assert (tmp_path / "comparison.csv").read_bytes() == old
+        assert os.listdir(tmp_path) == ["comparison.csv"]
+
+    def test_failed_svg_rename_keeps_the_old_plot(self, tmp_path, capsys, monkeypatch):
+        assert run("dist", "--inline", COHERENT08, "--svg", "--out", str(tmp_path)) == 0
+        old = (tmp_path / "dist.svg").read_bytes()
+        real = os.replace
+
+        def refuse_svg(src, dst):
+            if str(dst).endswith(".svg"):
+                raise PermissionError(13, "Permission denied", str(dst))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_svg)
+        capsys.readouterr()
+        assert run("dist", "--inline", COHERENT32, "--svg", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"wgrover: i/o error: [Errno 13] Permission denied: '{tmp_path / 'dist.svg'}'"]
+        assert (tmp_path / "dist.svg").read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["dist.csv", "dist.svg"]
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+    def test_any_exception_removes_the_temporary_file(self, tmp_path, error):
+        target = tmp_path / "a.csv"
+        target.write_bytes(b"old\n")
+
+        def chunks():
+            yield b"new\n"
+            raise error
+
+        with pytest.raises(error):
+            csvio._write_bytes(target, chunks())
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["a.csv"]
+
+    def test_a_symlink_at_the_target_is_replaced_not_followed(self, tmp_path):
+        # a named behaviour change: a plain open("wb") wrote through the link
+        (tmp_path / "kept.csv").write_bytes(b"kept\n")
+        (tmp_path / "link.csv").symlink_to("kept.csv")
+        csvio._write_bytes(tmp_path / "link.csv", [b"new\n"])
+        assert not (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "link.csv").read_bytes() == b"new\n"
+        assert (tmp_path / "kept.csv").read_bytes() == b"kept\n"
+
+    def test_every_artifact_goes_through_the_writer(self, tmp_path, writes):
+        out = tmp_path / "repro"
+        assert run("repro", "all", "--out", str(out)) == 0
+        written = sorted(p for p in out.rglob("*") if p.is_file())
+        assert len(written) == 32
+        assert sorted(writes) == written
+        for argv, names in [
+            (["dist", "--inline", UNIFORM20], ["dist.csv", "dist.svg"]),
+            (["simulate", "--inline", UNIFORM20, "--target", "1"],
+             ["trajectory.csv", "trajectory.svg"]),
+            (["continuum", "--inline", UNIFORM20, "--target", "1"],
+             ["continuum.csv", "continuum.svg"]),
+            (["compare", "--inline", UNIFORM20],
+             ["comparison.csv", "comparison_log.svg", "comparison_recip.svg"]),
+        ]:
+            out = tmp_path / argv[0]
+            writes.clear()
+            assert run(*argv, "--svg", "--out", str(out)) == 0
+            assert sorted(writes) == [out / name for name in names]
+            assert sorted(os.listdir(out)) == names
+
+    def test_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert run("dist", "--inline", UNIFORM20, "--svg", "--out", str(tmp_path)) == 0
+        finally:
+            os.umask(old)
+        for name in ["dist.csv", "dist.svg"]:
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~0o027
 
 
 def test_dist_and_compare_agree_on_p_k(tmp_path):
