@@ -28,6 +28,7 @@ import cmath
 import itertools
 import math
 import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -157,14 +158,15 @@ def iterate(dist: AmplitudeDistribution, k: int, r_max: int) -> Trajectory:
     factor = complex(1.0 - 4.0 * float(target_proportions(abs(p), (k,))))
     two_pc, two_p = 2.0 * p.conjugate(), 2.0 * p
 
-    def states():
+    # the constants as arguments, the generator's fast locals, not closure cells
+    def states(factor, two_pc, two_p):
         a, b = 1.0 + 0.0j, 0.0 + 0.0j
-        for _ in range(r_max + 1):
+        for _ in itertools.repeat(None, r_max + 1):
             yield a
             yield b
             a, b = factor * a - two_pc * b, b + two_p * a
 
-    ab = np.fromiter(states(), np.complex128, 2 * (r_max + 1))
+    ab = np.fromiter(states(factor, two_pc, two_p), np.complex128, 2 * (r_max + 1))
     # the views taken below inherit the read-only flag
     ab.setflags(write=False)
     a_arr, b_arr = ab[0::2], ab[1::2]
@@ -368,11 +370,14 @@ def project_onto_subspace(
     rhs_k = complex(v[idx])  # <e_k|v>
     a = (rhs_d - p_k.conjugate() * rhs_k) / det
     b = (rhs_k - p_k * rhs_d) / det
+    buffers = threading.local()  # a residual tile per thread, reused tile after tile
 
     def squared_residual(s):
+        if not hasattr(buffers, "tile"):
+            buffers.tile = np.empty(DENSE_TILE, np.complex128)
         # errstate is per thread; a NaN or infinite state fails the check below
         with np.errstate(invalid="ignore", over="ignore"):
-            recon = a * d[s]
+            recon = np.multiply(a, d[s], out=buffers.tile[:s.stop - s.start])
             if s.start <= idx < s.stop:
                 recon[idx - s.start] += b
             recon -= v[s]

@@ -33,9 +33,11 @@ empty cell.
 The kernel pays about a hundred numpy calls per block whatever the block's
 size, so a table of at most SMALL_CELLS cells (rows times columns) goes
 through `%` as a whole, by the same row builder and code as the fallback.
-The kernel overtakes `%` at about 300 cells for the `k,p_k` row, 315 for
-the nine-column comparison row and 360-400 for the six-column trajectory
-row; a 21-row `k,p_k` table takes 33 us through `%` and 156 us in the kernel.
+Its double-double product runs in place, and only a block holding a zero or
+a value outside the power table pays for their fix-ups.  The kernel
+overtakes `%` at about 340 cells for the `k,p_k` row, 300-315 for the
+nine-column comparison row and 250 for the six-column trajectory row; a
+21-row `k,p_k` table takes 32 us through `%` and 137 us in the kernel.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from functools import cache
 import numpy as np
 
 # Cells formatted per block: BLOCK_CELLS // (cells per row) rows at a time,
-# which bounds the kernel's temporary arrays at about 1 MB (1.1 MB traced on six columns).
+# which bounds the kernel's temporary arrays at about 1 MB (1.20 MB traced on
+# six columns, most of it at once in _fill's digit and mask gathers).
 BLOCK_CELLS = 4096
 # Tables of at most this many cells are written by `%` alone, below the
 # kernel's fixed cost per block.
@@ -159,7 +162,7 @@ def _fill(out: np.ndarray, block, separator: np.ndarray) -> np.ndarray:
     comma or newline; returns the certified cells, (cells, rows) as every per-cell array.
     """
     mag, exp, neg, ok = _round17(np.array(block))
-    ends, digits, last, keep, before = _tables()
+    prefixes, suffixes, digits, last, keep, before = _tables()
     groups = np.empty((5,) + mag.shape, np.int64)
     for j in range(4, -1, -1):
         rest = mag // 10_000
@@ -171,9 +174,9 @@ def _fill(out: np.ndarray, block, separator: np.ndarray) -> np.ndarray:
     point = q * (bound >= q)
     words = out.transpose(2, 1, 0)
     np.bitwise_and(digits.take(groups), keep.take(18 * bound + point, axis=1), out=words[:5])
-    prefix, suffix = ends.take(2 * e + neg, axis=1)
-    words[0] |= prefix
-    np.bitwise_or(suffix, separator, out=words[5])
+    by_sign = 2 * e + neg
+    words[0] |= prefixes.take(by_sign)
+    np.bitwise_or(suffixes.take(by_sign), separator, out=words[5])
     return ok
 
 
@@ -212,7 +215,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     for i in range(17):
         keep[i:, :, 2 * i + 6] = 255
         keep[:, i + 1, 2 * i + 7] = 255
-    tables = (np.frombuffer(ends, np.uint64).reshape(-1, 2).T.copy(),
+    tables = (*np.frombuffer(ends, np.uint64).reshape(-1, 2).T.copy(),
               dotted.view(np.uint64).ravel(), last, keep.view(np.uint64).reshape(-1, 5).T.copy(),
               before)
     for t in tables:
@@ -252,9 +255,12 @@ def _scaled(a, exp):
     hi, hi_hi, hi_lo, lo = _pow10_table().take(exp - (_EXP_MIN - 1), axis=1)
     a_hi, a_lo = _split(a)
     p = a * hi
-    # p + e == a * hi exactly: Dekker's (1971) TwoProduct
-    e = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
-    return p, e + a * lo
+    # p + e == a * hi exactly: Dekker's (1971) TwoProduct; then t = e + a * lo
+    e = a_hi * hi_hi
+    e -= p
+    for u, w in (a_hi, hi_lo), (a_lo, hi_hi), (a_lo, hi_lo), (a, lo):
+        e += np.multiply(u, w, out=hi)  # hi is free once p is taken
+    return p, e
 
 
 def _round17(x):
@@ -263,8 +269,10 @@ def _round17(x):
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
     ok = (e >= _EXP_MIN) & (e <= _EXP_MAX)
-    a = np.where(ok, a, 1.0)
-    exp = np.where(ok, e, 0.0).astype(np.int64)
+    fix = not ok.all()
+    if fix:  # a zero, NaN, infinity or exponent past the table: scaled as 1.0
+        a[~ok], e[~ok] = 1.0, 0.0
+    exp = e.astype(np.int64)
     p, t = _scaled(a, exp)
     # log10 can miss by one next to a power of ten: rescale so p + t lies
     # in [1e16, 1e17) (1e16 and 1e17 are exact doubles).
@@ -284,6 +292,8 @@ def _round17(x):
     if carry.any():
         mag[carry] = 10**16
         exp += carry
-    zero = x == 0.0
-    return np.where(zero, 0, mag), np.where(zero, 0, exp), np.signbit(x), ok | zero
-
+    if fix:
+        zero = x == 0.0
+        mag[zero] = exp[zero] = 0
+        ok |= zero
+    return mag, exp, np.signbit(x), ok

@@ -8,6 +8,7 @@ rule run at its real value.
 """
 
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -122,6 +123,42 @@ def test_literals_and_blocks(monkeypatch, through_the_kernel):
     monkeypatch.setattr(numtext, "BLOCK_CELLS", 7)
     x = np.linspace(-3.0, 700.0, 101)
     assert_matches("%d,%.17g,%.17g\n", np.arange(101) - 50, x, x[::-1] / 7)
+
+
+def test_blocks_with_and_without_zeros_and_out_of_range_and_edge_cells(monkeypatch, fallback_rows):
+    # blocks of three rows: every other block holds only certified nonzero
+    # cells, which skip the range and zero fix-ups; each block between them
+    # holds one zero, one value past the power table, or one value next to a
+    # power of ten whose exponent log10 misses by one
+    monkeypatch.setattr(numtext, "BLOCK_CELLS", 6)
+    past_table = [1e-300, -1e300, 5e-324, -2.2250738585072014e-308, math.inf]
+    edges = [9999999999999998.0, 99999999999999984.0, 9.999999999999998e-281, 1e-278, 1e-5]
+    xs = []
+    for i, special in enumerate([0.0, -0.0, *past_table, *edges]):
+        plain = [(6 * i + j) / 7 + 1 / 3 for j in range(5)]
+        xs += plain[:1] + [special] + plain[1:]
+    ks = np.arange(1, len(xs) + 1)
+    xs = np.array(xs)
+    assert kernel("%d,%.17g\n", ks, xs) == oracle("%d,%.17g\n", ks, xs)
+    # zeros and edge cells are written by the kernel, the rest by `%`
+    assert [row[1] for row in fallback_rows] == past_table
+
+
+def test_one_pass_over_a_long_trajectory_holds_its_working_set():
+    # BLOCK_CELLS bounds the kernel's temporaries, and numpy reports its buffers
+    # to tracemalloc: a larger block, or more bytes per cell, shows here
+    traj = grover_core.iterate(truncated_coherent(1.2 + 0.9j, 1, 12), 4, 20_000)
+    columns = (range(len(traj.prob)), traj.a.real, traj.a.imag, traj.b.real, traj.b.imag, traj.prob)
+    for _ in numtext.format_rows(csvio.TRAJECTORY_ROW, *columns):  # builds the cached tables
+        pass
+    tracemalloc.start()
+    try:
+        for _ in numtext.format_rows(csvio.TRAJECTORY_ROW, *columns):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3e6
 
 
 @st.composite
