@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import numtext
-from .analysis import ComparisonRow, ComparisonTable
+from .analysis import ComparisonTable
 from .continuum import ContinuumSolution, eval_fa, eval_fb, period
 from .errors import DomainError
 from .grover_core import Trajectory
@@ -24,7 +25,7 @@ from .grover_core import Trajectory
 DISTRIBUTION_HEADER = ["k", "p_k"]
 TRAJECTORY_HEADER = ["r", "a_re", "a_im", "b_re", "b_im", "success_prob"]
 CONTINUUM_HEADER = ["x", "f_a", "f_b"]
-COMPARISON_HEADER = list(ComparisonRow._fields)
+COMPARISON_HEADER = [f.name for f in fields(ComparisonTable)]
 
 
 # Continuum sample spacing in x.

@@ -29,8 +29,8 @@ import itertools
 import math
 import os
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,16 +48,14 @@ ALIAS_EDGE = math.sqrt(0.5)
 DENSE_TILE = 1 << 15
 
 
-@dataclass(frozen=True)
-class TwoDState:
+class TwoDState(NamedTuple):
     """Coefficient pair (a, b) of the non-orthogonal decomposition a|D> + b|k>."""
 
     a: complex
     b: complex
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     r: int
     state: TwoDState
     success_prob: float
@@ -71,39 +69,29 @@ class Trajectory:
     (float64) the success probability |a_r P(k) + b_r|^2; r = 0 is always
     (1, 0) with probability |P(k)|^2.  a and b are strided views of one
     array a_0, b_0, a_1, b_1, ...; the arrays and that base are read-only.
+    As a sequence, traj[r] builds one TrajectoryPoint (r < 0 counts back).
     """
 
     a: np.ndarray
     b: np.ndarray
     prob: np.ndarray
 
-    @property
-    def points(self) -> TrajectoryPoints:
-        return TrajectoryPoints(self)
-
-
-class TrajectoryPoints(Sequence):
-    """Read-only sequence view of a Trajectory, one TrajectoryPoint per r.
-
-    Each index builds its point on demand; len() builds none.
-    """
-
-    __slots__ = ("_traj",)
-
-    def __init__(self, traj: Trajectory) -> None:
-        self._traj = traj
-
     def __len__(self) -> int:
-        return len(self._traj.prob)
+        return len(self.prob)
 
     def __getitem__(self, r: int) -> TrajectoryPoint:
         r = range(len(self))[r]
-        t = self._traj
-        return TrajectoryPoint(r, TwoDState(a=complex(t.a[r]), b=complex(t.b[r])), float(t.prob[r]))
+        return TrajectoryPoint(r, TwoDState(complex(self.a[r]), complex(self.b[r])),
+                               float(self.prob[r]))
+
+    @property
+    def points(self) -> Trajectory:
+        # itself, for perfbench/tracing.py::_count_iterate and the oracle_xcheck workload
+        return self
 
 
-def step(state: TwoDState, p_k: complex) -> TwoDState:
-    """One application of G to a|D> + b|k> in the 2-d subspace.
+def step(state: tuple[complex, complex], p_k: complex) -> TwoDState:
+    """One application of G to a|D> + b|k>, given as any pair (a, b).
 
     With success_probability, the per-step oracle that iterate must match
     bit for bit.
@@ -112,18 +100,19 @@ def step(state: TwoDState, p_k: complex) -> TwoDState:
     # abs() of a complex NaN can raise a spurious OverflowError; a NaN
     # |P(k)| is degenerate under target_proportions.
     factor = 1.0 - 4.0 * float(target_proportions(abs(p) if cmath.isfinite(p) else math.nan))
-    a, b = complex(state.a), complex(state.b)
-    return TwoDState(a=complex(factor) * a - 2.0 * p.conjugate() * b, b=b + 2.0 * p * a)
+    a, b = map(complex, state)
+    return TwoDState(complex(factor) * a - 2.0 * p.conjugate() * b, b + 2.0 * p * a)
 
 
-def success_probability(state: TwoDState, p_k: complex) -> float:
-    """Probability of measuring the target: |a P(k) + b|^2.
+def success_probability(state: tuple[complex, complex], p_k: complex) -> float:
+    """Probability of measuring the target in the pair (a, b): |a P(k) + b|^2.
 
     Values within 1e-9 above 1 are clamped (floating drift); anything
     larger, and a NaN or infinite amplitude, means the evolution code is
     broken and raises.
     """
-    amp = complex(state.a) * complex(p_k) + complex(state.b)
+    a, b = state
+    amp = complex(a) * complex(p_k) + complex(b)
     if not cmath.isfinite(amp):
         raise ConsistencyError(
             f"success amplitude {amp!r} is not finite; the recurrence state is inconsistent"
@@ -388,4 +377,4 @@ def project_onto_subspace(
         raise ConsistencyError(
             f"state left the 2-d subspace span{{D, e_k}}: residual {residual!r}"
         )
-    return TwoDState(a=complex(a), b=complex(b))
+    return TwoDState(complex(a), complex(b))

@@ -144,8 +144,8 @@ class TestSimulateCommand:
             "--out", str(tmp_path))
         traj = grover_core.iterate(load_spec(json.loads(COHERENT08)), 3, 20)
         rows = read_csv(tmp_path / "trajectory.csv", csvio.TRAJECTORY_HEADER)
-        assert len(rows) == len(traj.points)
-        for pt, row in zip(traj.points, rows):
+        assert len(rows) == len(traj)
+        for pt, row in zip(traj, rows):
             a = complex(float(row["a_re"]), float(row["a_im"]))
             b = complex(float(row["b_re"]), float(row["b_im"]))
             assert (pt.r, pt.state.a, pt.state.b, pt.success_prob) == (

@@ -70,6 +70,11 @@ def peak_bracket(p_abs: float, margin: int) -> int:
     return int(max(crest_estimate(p_abs), math.pi / (2 * math.acos(p_abs)))) + margin
 
 
+def pair_bytes(state) -> bytes:
+    """The bits of a state's (a, b), signed zeros included."""
+    return np.array(state, dtype=np.complex128).tobytes()
+
+
 def random_distribution(rng, n: int) -> AmplitudeDistribution:
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     amps /= np.linalg.norm(amps)
@@ -100,6 +105,15 @@ class TestStep:
         )
         assert out.b == pytest.approx(state.b + 2 * p * state.a, abs=1e-15)
 
+    @pytest.mark.parametrize("state", [(1, 0), (0.5 + 0.1j, -0.2 + 0.4j), (-0.0, 0.0)])
+    @pytest.mark.parametrize("p_k", [P20, 0.3 * np.exp(0.7j)])
+    def test_a_plain_pair_is_a_state(self, state, p_k):
+        out = step(state, p_k)
+        assert pair_bytes(out) == pair_bytes(step(TwoDState(*state), p_k))
+        assert TwoDState(*state) == state and out == (out.a, out.b)
+        a, b = out
+        assert type(a) is complex and type(b) is complex
+
     def test_degenerate_amplitudes_rejected(self):
         for p in (0.0, 1.0, 1e-170, math.nan):
             with pytest.raises(DomainError, match="degenerate"):
@@ -115,6 +129,13 @@ class TestStep:
 class TestSuccessProbability:
     def test_initial_state_measures_proportion(self):
         assert success_probability(TwoDState(1, 0), 0.5) == pytest.approx(0.25, abs=0)
+
+    @pytest.mark.parametrize("state", [(1, 0), (0, 1), (0.8, 0.4472135954999579),
+                                       (0.5 + 0.1j, -0.2 + 0.4j)])
+    def test_a_plain_pair_gives_the_same_bits(self, state):
+        for p_k in (P20, 0.5, 0.3 * np.exp(0.7j)):
+            want = success_probability(TwoDState(*state), p_k)
+            assert success_probability(state, p_k).hex() == want.hex()
 
     def test_pure_target(self):
         assert success_probability(TwoDState(0, 1), 0.123) == 1.0
@@ -156,22 +177,22 @@ class TestSuccessProbability:
 class TestIterate:
     def test_starts_at_one_zero(self):
         traj = iterate(uniform(20), 1, 3)
-        assert traj.points[0].state.a == 1 and traj.points[0].state.b == 0
-        assert traj.points[0].success_prob == pytest.approx(0.05, abs=1e-15)
-        assert len(traj.points) == 4
+        assert traj[0].state.a == 1 and traj[0].state.b == 0
+        assert traj[0].success_prob == pytest.approx(0.05, abs=1e-15)
+        assert len(traj) == 4
 
     def test_probability_peaks_near_one_for_n20(self):
         traj = iterate(uniform(20), 1, 3)
-        assert traj.points[3].success_prob == pytest.approx(0.99994, abs=1e-5)
+        assert traj[3].success_prob == pytest.approx(0.99994, abs=1e-5)
 
     def test_one_iteration_certainty_for_n4(self):
         traj = iterate(uniform(4), 2, 1)
-        assert traj.points[1].success_prob == pytest.approx(1.0, abs=1e-12)
+        assert traj[1].success_prob == pytest.approx(1.0, abs=1e-12)
 
     def test_success_prob_matches_points(self):
         dist = truncated_coherent(0.8, 1, 20)
         traj, p_k = iterate(dist, 3, 20), dist.amplitude(3)
-        for pt in traj.points:
+        for pt in traj:
             amp = pt.state.a * p_k + pt.state.b
             assert pt.success_prob == pytest.approx(abs(amp) ** 2, abs=1e-12)
 
@@ -188,7 +209,7 @@ class TestIterate:
     def test_closed_form_oracle_real_amplitudes(self, dist, k):
         traj = iterate(dist, k, 100)
         p_abs = abs(dist.amplitude(k))
-        for pt in traj.points:
+        for pt in traj:
             assert pt.success_prob == pytest.approx(
                 oracle_success_prob(p_abs, pt.r), abs=1e-9
             )
@@ -199,7 +220,7 @@ class TestIterate:
         dist = random_distribution(rng, 12)
         traj = iterate(dist, 5, 100)
         p_abs = abs(dist.amplitude(5))
-        for pt in traj.points:
+        for pt in traj:
             assert pt.success_prob == pytest.approx(
                 oracle_success_prob(p_abs, pt.r), abs=1e-9
             )
@@ -282,18 +303,16 @@ class TestIterateMatchesStepOracle:
         dist = two_label_distribution(0.2 - 0.1j)
         traj = iterate(dist, 1, 25)
         oracle = step_oracle(dist.amplitude(1), 25)
-        points = traj.points
-        assert len(points) == 26
-        for pt, want in ((points[0], oracle[0]), (points[-1], oracle[-1])):
-            assert (pt.state, pt.success_prob) == want
-        assert points[-1].r == 25 and points[-26].r == 0
-        assert [(pt.r, pt.state, pt.success_prob) for pt in points] == [
-            (r, state, prob) for r, (state, prob) in enumerate(oracle)
-        ]
-        assert type(points[3].state.a) is complex and type(points[3].success_prob) is float
+        assert len(traj) == 26
+        for pt, r in ((traj[0], 0), (traj[-1], 25), (traj[-26], 0), (traj[25], 25)):
+            assert (pt.r, pt.state, pt.success_prob) == (r, *oracle[r])
+        assert list(traj) == [(r, state, prob) for r, (state, prob) in enumerate(oracle)]
+        assert type(traj[3].state.a) is complex and type(traj[3].success_prob) is float
         for bad in (26, -27):
             with pytest.raises(IndexError):
-                points[bad]
+                traj[bad]
+        # the benchmark still reads the points under their old name
+        assert traj.points is traj
 
     def test_arrays_are_read_only(self):
         traj = iterate(uniform(20), 1, 5)
@@ -532,6 +551,11 @@ class TestProjection:
         out = project_onto_subspace(state, dist, 1)
         assert out.a == pytest.approx(0.8, abs=1e-12)
         assert out.b == pytest.approx(0.4472135954999579, abs=1e-12)
+        # a plain pair: it unpacks, and step and success_probability take it back
+        a, b = out
+        assert (a, b) == (out.a, out.b) and type(a) is complex and type(b) is complex
+        assert success_probability(out, P20) == success_probability((a, b), P20)
+        assert pair_bytes(step(out, P20)) == pair_bytes(step((a, b), P20))
 
     def test_absent_target_rejected(self):
         dist = AmplitudeDistribution(labels=range(1, 4), amplitudes=[0.0, 0.6, 0.8])
@@ -584,8 +608,8 @@ class TestRecurrenceOracleEquivalence:
         for r in range(1, 26):
             state = dense_apply_G(state, dist, k)
             coeffs = project_onto_subspace(state, dist, k)
-            assert abs(coeffs.a - traj.points[r].state.a) <= 1e-9
-            assert abs(coeffs.b - traj.points[r].state.b) <= 1e-9
+            assert abs(coeffs.a - traj[r].state.a) <= 1e-9
+            assert abs(coeffs.b - traj[r].state.b) <= 1e-9
 
     def test_subspace_residual_stays_negligible(self):
         rng = np.random.default_rng(23)
@@ -659,7 +683,7 @@ class TestTiledDenseStep:
         state = g_applied(dist, k, 3)
         before = state.copy()
         coeffs = project_onto_subspace(state, dist, k)
-        want = iterate(dist, k, 3).points[3].state
+        want = iterate(dist, k, 3)[3].state
         assert abs(coeffs.a - want.a) <= 1e-9 and abs(coeffs.b - want.b) <= 1e-9
         np.testing.assert_array_equal(state, before)
 

@@ -96,6 +96,7 @@ DELETED = [
     "_tallest",
     "_TIE",
     "_log_sum_exp",
+    "TrajectoryPoints",
 ]
 
 

@@ -1,11 +1,27 @@
-"""Paired A/B runs of the wgrover benchmark, written to the next BENCH_<n>.json.
+"""The wgrover benchmark's runs, summarized in the next BENCH_<n>.json.
 
+    python3 tools/bench.py record --seeds N --seconds S
     python3 tools/bench.py ab --base REV --workload W [--pairs N] [--seconds S]
 
-Run it from the root of a wgrover checkout.  It extracts REV with `git archive`
-into one scratch directory and copies the working tree (tracked and untracked
-files, not ignored ones) into another whose path has the same length, so the
-two sides differ only in their code.  Pair i runs
+Run it from the root of a wgrover checkout.
+
+`record` runs every workload of BENCHMARK.json in the working tree itself:
+
+    python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
+
+for seeds i = 1..N, then once with --seed 1 --trace 1.  For each workload the
+file holds every end-to-end metric's per-seed values with their median and
+interquartile range (IQR), the share of failed operations over all its runs,
+and the traced run's per-layer metrics.  It also holds the git revision, with
+a flag for uncommitted changes to tracked files, and the host: CPU count,
+PYTHONDONTWRITEBYTECODE, the OPENBLAS_* variables and numpy's enabled CPU
+features.  It exits 1 after writing the file when any run failed an output
+check.
+
+`ab` compares a base revision with the working tree.  It extracts REV with
+`git archive` into one scratch directory and copies the working tree (tracked
+and untracked files, not ignored ones) into another whose path has the same
+length, so the two sides differ only in their code.  Pair i runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
@@ -13,9 +29,9 @@ in each, the base first in odd pairs and the working tree first in even ones,
 and reads the results file that run writes.
 
 For each end-to-end metric of BENCHMARK.json the file holds both sides'
-per-pair values with their medians and interquartile ranges (IQR), and the
-paired ratio, working tree over base, of every pair with its quartiles, as
-pyperf's compare_to pairs runs.  Its verdict, taken in this order:
+per-pair values with their medians and IQRs, and the paired ratio, working
+tree over base, of every pair with its quartiles, as pyperf's compare_to pairs
+runs.  Its verdict, taken in this order:
 
 * "worse": the working tree's median is worse than the base's by more than
   the metric's bound (a fraction of the base's median);
@@ -102,6 +118,37 @@ def summarize(base_runs: list[dict], head_runs: list[dict], end_to_end: list[dic
     return {"metrics": metrics, "failed": failed}
 
 
+def describe(runs: list[dict], traced: dict, end_to_end: list[dict]) -> dict:
+    """One workload's record: its untraced runs' end-to-end metrics, one per seed,
+    with their medians and IQRs, the failed share over every run, traced one
+    included, and the traced run's per-layer metrics."""
+    metrics = {}
+    for m in end_to_end:
+        values = [r["metrics"][m["name"]]["value"] for r in runs]
+        q = quartiles(values)
+        metrics[m["name"]] = {"unit": m["unit"], "better": m["better"], "values": values,
+                              "median": q[1], "iqr": q[2] - q[0]}
+    every = [*runs, traced]
+    return {"metrics": metrics,
+            "failed_share": sum(r["failed"] for r in every) / sum(r["attempted"] for r in every),
+            "problems": [p for r in every for p in r["problems"]],
+            "layers": traced["metrics"]}
+
+
+def host(env: dict) -> dict:
+    """The machine and the variables that move the benchmark's numbers, with a
+    results file's env block."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"nproc": os.cpu_count(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            **{k: v for k, v in sorted(os.environ.items()) if k.startswith("OPENBLAS_")},
+            "numpy_cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
+            **env}
+
+
 def next_bench_path(root: Path) -> Path:
     """BENCH_<n>.json with n one past the highest already in root."""
     taken = [int(m.group(1)) for p in root.glob("BENCH_*.json")
@@ -112,6 +159,12 @@ def next_bench_path(root: Path) -> Path:
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout
+
+
+def revision(root: Path) -> tuple[str, bool]:
+    """HEAD's commit, and whether tracked files differ from it."""
+    return (git(root, "rev-parse", "HEAD").strip(),
+            bool(git(root, "status", "--porcelain", "--untracked-files=no").strip()))
 
 
 def extract(root: Path, rev: str, dest: Path) -> None:
@@ -132,12 +185,14 @@ def copy_tree(root: Path, dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(side: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One perfbench run in side; its results file."""
-    proc = subprocess.run([sys.executable, RUN, "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+    name = f"{workload}-seed{seed}-trace{trace}.json"
+    result = side / ".bench_build" / "perfbench" / "results" / name
+    result.unlink(missing_ok=True)  # an earlier run's file must not pass for this one's
+    proc = subprocess.run([sys.executable, RUN, "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=side, capture_output=True, text=True)
-    result = side / ".bench_build" / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
     # run.py exits 1 when an output check failed; its results file counts the failure
     if proc.returncode not in (0, 1) or not result.is_file():
         raise SystemExit(f"bench.py: run.py exited {proc.returncode} in {side}:\n"
@@ -146,16 +201,44 @@ def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def read_result(path: Path) -> dict:
-    """A run.py results file: its end-to-end metrics and operation counts."""
+    """A run.py results file: its metrics, operation counts and failed checks."""
     record = json.loads(path.read_text(encoding="utf-8"))
     return {"metrics": record["metrics"], "attempted": record["attempted"],
-            "failed": record["failed"], "env": record["env"]}
+            "failed": record["failed"], "problems": record["problems"], "env": record["env"]}
+
+
+def record(args: argparse.Namespace) -> int:
+    root = Path.cwd()
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    head, dirty = revision(root)
+    workloads = {}
+    for name in (w["name"] for w in spec["workloads"]):
+        runs = [run_once(root, name, seed, args.seconds) for seed in range(1, args.seeds + 1)]
+        traced = run_once(root, name, 1, args.seconds, trace=1)
+        workloads[name] = describe(runs, traced, spec["end_to_end"])
+        print(f"{name} done", file=sys.stderr)
+    out = {
+        "command": ["python3", "tools/bench.py", *sys.argv[1:]],
+        "seeds": args.seeds, "seconds": args.seconds, "head": head, "head_dirty": dirty,
+        "host": host(runs[0]["env"]), "workloads": workloads,
+    }
+    path = next_bench_path(root)
+    path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    for name, w in workloads.items():
+        print(f"{name}: failed share {w['failed_share']:.3g}")
+        for metric, m in w["metrics"].items():
+            print(f"  {metric:12s} {m['median']:10.4g} {m['unit']:6s} (IQR {m['iqr']:.3g})")
+        for problem in w["problems"][:5]:
+            print(f"  FAILED: {problem}")
+    print(f"wrote {path.name}")
+    return 1 if any(w["failed_share"] for w in workloads.values()) else 0
 
 
 def ab(args: argparse.Namespace) -> int:
     root = Path.cwd()
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     base_rev = git(root, "rev-parse", "--verify", args.base + "^{commit}").strip()
+    head_rev, dirty = revision(root)
     scratch = Path(tempfile.mkdtemp(prefix="wgrover-ab-"))
     try:
         base, head = scratch / "base", scratch / "head"
@@ -169,17 +252,16 @@ def ab(args: argparse.Namespace) -> int:
             print(f"pair {i}/{args.pairs} done", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    record = {
+    out = {
         "command": ["python3", "tools/bench.py", *sys.argv[1:]],
         "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
-        "base": base_rev, "head": git(root, "rev-parse", "HEAD").strip(),
-        "head_dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no").strip()),
-        "host": {"nproc": os.cpu_count(), **runs[base][0]["env"]},
+        "base": base_rev, "head": head_rev, "head_dirty": dirty,
+        "host": host(runs[base][0]["env"]),
         **summarize(runs[base], runs[head], spec["end_to_end"]),
     }
     path = next_bench_path(root)
-    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    for name, m in record["metrics"].items():
+    path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    for name, m in out["metrics"].items():
         print(f"{name:12s} {m['base_median']:10.4g} -> {m['head_median']:10.4g} "
               f"(IQR {m['base_iqr']:.3g}; ratio {m['ratio_quartiles'][1]:.4f}; "
               f"{m['head_wins']}/{m['pairs']} won) {m['verdict']}")
@@ -190,12 +272,19 @@ def ab(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    r = sub.add_parser("record", help="runs of every workload in the working tree")
+    r.add_argument("--seeds", type=int, default=5)
+    r.add_argument("--seconds", type=float, default=25.0)
     p = sub.add_parser("ab", help="paired runs of a base revision against the working tree")
     p.add_argument("--base", required=True, help="the git revision to compare against")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
+    if args.command == "record":
+        if args.seeds < 1:
+            parser.error("--seeds must be at least 1")
+        return record(args)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return ab(args)
