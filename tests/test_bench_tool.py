@@ -15,15 +15,18 @@ spec.loader.exec_module(bench)
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
 
-def results_file(path: Path, values: dict, attempted=100, failed=0, trace=0) -> Path:
-    """A results file in run.py's layout, with the given metric values."""
+def results_file(path: Path, values: dict, attempted=100, failed=0, trace=0,
+                 problems=None) -> Path:
+    """A results file in run.py's layout, with the given metric values; one problem
+    per failed operation unless the problems are given."""
     path.write_text(json.dumps({
         "workload": "simulate_long", "seed": 1, "trace": trace,
         "env": {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "llc": "L3 300 MiB",
                 "threads": {"OPENBLAS_NUM_THREADS": "1"}},
         "metrics": {k: {"value": v, "unit": "", "note": ""} for k, v in values.items()},
         "attempted": attempted, "failed": failed,
-        "problems": [f"check {i} failed" for i in range(failed)], "latencies_s": [0.03],
+        "problems": [f"check {i} failed" for i in range(failed)] if problems is None else problems,
+        "latencies_s": [0.03],
     }), encoding="utf-8")
     return path
 
@@ -142,7 +145,7 @@ def test_host_block(monkeypatch):
     assert bench.host({})["PYTHONDONTWRITEBYTECODE"] is None
 
 
-@pytest.mark.parametrize("failing", [None, "oracle_xcheck"])
+@pytest.mark.parametrize("failing", [None, "oracle_xcheck", "counts"])
 def test_record_writes_the_file_then_fails_on_a_failed_check(tmp_path, monkeypatch, failing):
     # run.py is replaced by synthetic results: which runs record asks for, and what it writes
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
@@ -154,6 +157,11 @@ def test_record_writes_the_file_then_fails_on_a_failed_check(tmp_path, monkeypat
         values = LAYERS if trace else {"setup_s": 0.14, "ops_per_s": 30.0 + seed,
                                        "op_ms_p50": 33.0, "op_ms_tail": 40.0, "peak_rss_mb": 50.0}
         path = tmp_path / f"{workload}-{seed}-{trace}.json"
+        if failing == "counts":
+            # run.py's per-op count check of a traced run fails no operation
+            counted = trace and workload == "figures"
+            problems = ["per-op counts differ between ops"] if counted else []
+            return bench.read_result(results_file(path, values, trace=trace, problems=problems))
         return bench.read_result(results_file(path, values, failed=int(workload == failing),
                                               trace=trace))
 
@@ -173,6 +181,8 @@ def test_record_writes_the_file_then_fails_on_a_failed_check(tmp_path, monkeypat
     assert got["workloads"]["figures"]["metrics"]["ops_per_s"]["values"] == [31.0, 32.0, 33.0]
     shares = {w: got["workloads"][w]["failed_share"] for w in names}
     assert shares == {w: (4 / 400 if w == failing else 0.0) for w in names}
+    if failing == "counts":
+        assert got["workloads"]["figures"]["problems"] == ["per-op counts differ between ops"]
 
 
 def test_ab_writes_its_pairs_and_verdicts(tmp_path, monkeypatch):

@@ -15,8 +15,8 @@ interquartile range (IQR), the share of failed operations over all its runs,
 and the traced run's per-layer metrics.  It also holds the git revision, with
 a flag for uncommitted changes to tracked files, and the host: CPU count,
 PYTHONDONTWRITEBYTECODE, the OPENBLAS_* variables and numpy's enabled CPU
-features.  It exits 1 after writing the file when any run failed an output
-check.
+features.  It exits 1 after writing the file when any run reported a failed
+output check, counted as a failed operation or not.
 
 `ab` compares a base revision with the working tree.  It extracts REV with
 `git archive` into one scratch directory and copies the working tree (tracked
@@ -231,7 +231,8 @@ def record(args: argparse.Namespace) -> int:
         for problem in w["problems"][:5]:
             print(f"  FAILED: {problem}")
     print(f"wrote {path.name}")
-    return 1 if any(w["failed_share"] for w in workloads.values()) else 0
+    # run.py adds the traced run's per-op count check to problems, not to failed
+    return 1 if any(w["failed_share"] or w["problems"] for w in workloads.values()) else 0
 
 
 def ab(args: argparse.Namespace) -> int:
