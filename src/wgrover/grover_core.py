@@ -8,9 +8,11 @@ Two independent realizations of the same dynamics live here:
   tracking the state G^r|D> = a_r|D> + b_r|k>, and
 
 * a matrix-free dense oracle applying G = U_D U_k to a full state vector
-  (one component flip, one rank-1 reflection, O(N) per step).  It makes two
-  sweeps over fixed tiles of DENSE_TILE elements, shared out among a thread
-  per usable CPU, and its results do not depend on how many threads ran them.
+  (one component flip, one rank-1 reflection, O(N) per step).  It sweeps
+  fixed tiles of DENSE_TILE elements, shared out among a thread per usable
+  CPU, and its results do not depend on how many threads ran them.  The
+  sweep that writes a step's read-only result also sums it, so a step or
+  projection on that result makes one sweep where any other state takes two.
 
 Because |D> and |k> are not orthogonal, the measurable success amplitude
 is a*P(k) + b rather than b alone; all probabilities reported here use
@@ -29,6 +31,7 @@ import itertools
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -302,39 +305,60 @@ def _dense_state(state, dist: AmplitudeDistribution) -> np.ndarray:
     return v
 
 
+# (weak references to dense_apply_G's last result and its D, <out|out>, <D|out>),
+# the sums its writing sweep took, or None.  Sums of the same tiles in the same
+# order as a sweep's, so no result depends on whether they were reused.
+_last_sums = None
+
+
+def _reused_sums(v: np.ndarray, d: np.ndarray):
+    """(<v|v>, <D|v>) if v is dense_apply_G's last result over d and still read-only."""
+    last = _last_sums
+    if last is not None and last[0]() is v and last[1]() is d and not v.flags.writeable:
+        return last[2:]
+    return None
+
+
 def dense_apply_G(state: np.ndarray, dist: AmplitudeDistribution, k: int) -> np.ndarray:
     """Apply G = U_D U_k to a dense state vector, matrix-free.
 
     U_k flips the target component; U_D reflects about |D>, realized as
     2 <D|w> D - w with w = U_k v.  Fused so w is never built:
     <D|w> = <D|v> - 2 conj(D_k) v_k, and G v = c D - v + 2 v_k e_k with
-    c = 2 <D|w>.  Two sweeps over tiles of DENSE_TILE elements: the first
-    takes <v|v> and <D|v> of each tile while it is in cache, the second
-    writes c D - v into one new array.  Norm is preserved to rounding.
+    c = 2 <D|w>.  Over tiles of DENSE_TILE elements, one sweep takes <v|v>
+    and <D|v> of each tile while it is in cache, and a second writes G v
+    into one new array and takes the same sums of each tile it has written.
+    The result is read-only, and the next step on it skips the first sweep
+    while it stays so.  Norm is preserved to rounding.
     """
+    global _last_sums
     v = _dense_state(state, dist)
     d = dist.amplitudes
 
-    def sums(s):
-        vs = v[s]
+    def sums(s, vs):
         return np.vdot(vs, vs).real, np.vdot(d[s], vs)
 
-    vv, dv = zip(*_map_tiles(sums, v.size))
-    norm = math.sqrt(_in_tile_order(vv))
+    reused = _reused_sums(v, d)
+    vv, dv = reused or map(_in_tile_order, zip(*_map_tiles(lambda s: sums(s, v[s]), v.size)))
+    norm = math.sqrt(vv)
     # not (x <= tol), so that a NaN norm fails the check too
     if not abs(norm - 1.0) <= STATE_NORM_TOL:
         raise DomainError(f"state norm {norm!r} is not 1 within {STATE_NORM_TOL}")
     idx = dist.index_of(k)
     v_k = v[idx]
-    c = 2.0 * (_in_tile_order(dv) - 2.0 * d[idx].conjugate() * v_k)
+    c = 2.0 * (dv - 2.0 * d[idx].conjugate() * v_k)
     out = np.empty_like(v)
 
     def reflect(s):
-        np.multiply(c, d[s], out=out[s])
-        np.subtract(out[s], v[s], out=out[s])
+        tile = np.multiply(c, d[s], out=out[s])
+        np.subtract(tile, v[s], out=tile)
+        if s.start <= idx < s.stop:
+            tile[idx - s.start] += 2.0 * v_k
+        return sums(s, tile)
 
-    _map_tiles(reflect, v.size)
-    out[idx] += 2.0 * v_k
+    vv, dv = zip(*_map_tiles(reflect, v.size))
+    out.setflags(write=False)
+    _last_sums = (weakref.ref(out), weakref.ref(d), _in_tile_order(vv), _in_tile_order(dv))
     return out
 
 
@@ -347,7 +371,8 @@ def project_onto_subspace(
     least-squares solve; a residual above 1e-8, or a NaN one, means the
     state left the 2-d subspace, which G can never do, and raises.  <D|v>
     and the squared residual are summed over tiles of DENSE_TILE elements,
-    as in dense_apply_G.
+    as in dense_apply_G; <D|v> of dense_apply_G's read-only result is the
+    one its writing sweep took.
     """
     v = _dense_state(state, dist)
     idx = dist.index_of(k)
@@ -355,7 +380,9 @@ def project_onto_subspace(
     # |P(k)| = 1 would make {D, e_k} colinear and the Gram system singular
     det = 1.0 - float(target_proportions(abs(p_k), (k,)))
     d = dist.amplitudes
-    rhs_d = _in_tile_order(_map_tiles(lambda s: np.vdot(d[s], v[s]), v.size))  # <D|v>
+    reused = _reused_sums(v, d)
+    rhs_d = reused[1] if reused else _in_tile_order(  # <D|v>
+        _map_tiles(lambda s: np.vdot(d[s], v[s]), v.size))
     rhs_k = complex(v[idx])  # <e_k|v>
     a = (rhs_d - p_k.conjugate() * rhs_k) / det
     b = (rhs_k - p_k * rhs_d) / det

@@ -9,6 +9,8 @@ import math
 import multiprocessing
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -737,6 +739,111 @@ class TestTiledDenseStep:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=60).stdout
         assert out.split() == ["False", "1"]
+
+
+def chained(dist, k, steps, copies):
+    """steps dense steps from |D> and the projection, passing each input as a copy if copies."""
+    state, states = dist.amplitudes, []
+    for _ in range(steps):
+        state = dense_apply_G(state.copy() if copies else state, dist, k)
+        states.append(state)
+    return states, project_onto_subspace(state.copy() if copies else state, dist, k)
+
+
+class TestDenseSumsReuse:
+    """A step or projection on dense_apply_G's own read-only result reuses the
+    sums the step took while writing it; a copy is swept as any other state."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chained_steps_match_steps_on_copies(self, tiled, monkeypatch, workers):
+        monkeypatch.setattr(grover_core, "_usable_cpus", lambda: workers)
+        dist, _ = tiled
+        k = dist.labels[EDGES["mid-start"]]
+        states, coeffs = chained(dist, k, 30, copies=False)
+        want_states, want = chained(dist, k, 30, copies=True)
+        for r, (state, want_state) in enumerate(zip(states, want_states), 1):
+            assert state.tobytes() == want_state.tobytes(), f"r = {r}"
+        assert pair_bytes(coeffs) == pair_bytes(want)
+
+    def test_only_the_last_result_skips_a_sweep(self, tiled, monkeypatch):
+        sweeps = []
+        map_tiles = grover_core._map_tiles
+        monkeypatch.setattr(grover_core, "_map_tiles",
+                            lambda fn, n: sweeps.append(fn) or map_tiles(fn, n))
+        dist, _ = tiled
+        k = dist.labels[EDGES["tile-end"]]
+
+        def count(call, *args):
+            before = len(sweeps)
+            call(*args, dist, k)
+            return len(sweeps) - before
+
+        first = dense_apply_G(dist.amplitudes, dist, k)
+        assert len(sweeps) == 2
+        second = dense_apply_G(first, dist, k)
+        assert len(sweeps) == 3
+        assert count(project_onto_subspace, second) == 1  # the residual's sweep only
+        assert count(project_onto_subspace, second.copy()) == 2
+        assert count(dense_apply_G, second) == 1
+        assert count(dense_apply_G, first) == 2  # no longer the last result
+
+    def test_result_is_read_only(self):
+        dist = uniform(20)
+        out = dense_apply_G(dist.amplitudes, dist, 1)
+        assert not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 0.0
+
+    def test_a_result_written_again_is_swept_again(self, tiled):
+        dist, _ = tiled
+        k = dist.labels[EDGES["tile-start"]]
+        out = dense_apply_G(dist.amplitudes, dist, k)
+        out.setflags(write=True)
+        out *= 2.0
+        with pytest.raises(DomainError, match="norm"):
+            dense_apply_G(out, dist, k)
+        assert (pair_bytes(project_onto_subspace(out, dist, k))
+                == pair_bytes(project_onto_subspace(out.copy(), dist, k)))
+
+    def test_another_distribution_is_swept(self, tiled):
+        dist, _ = tiled
+        other = random_distribution(np.random.default_rng(37), TILED_N)
+        k = dist.labels[EDGES["last"]]
+        out = dense_apply_G(dist.amplitudes, dist, k)
+        got = dense_apply_G(out, other, k)  # while out is the last result
+        assert got.tobytes() == dense_apply_G(out.copy(), other, k).tobytes()
+
+    def test_no_result_is_kept_alive(self, tiled):
+        dist, _ = tiled
+        out = dense_apply_G(dist.amplitudes, dist, dist.labels[0])
+        ref = weakref.ref(out)
+        del out
+        assert ref() is None
+
+    def test_threads_chaining_their_own_states(self, tiled):
+        # each thread's step replaces the sums the others' next steps could reuse
+        dist, _ = tiled
+        targets = [dist.labels[i] for i in (0, EDGES["tile-start"], EDGES["mid-end"],
+                                            EDGES["partial-start"], EDGES["last"])]
+        want = {k: chained(dist, k, 8, copies=True) for k in targets}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda k=k: got.update({k: chained(dist, k, 8, copies=False)}))
+                for k in targets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got.keys() == want.keys()
+        for k in targets:
+            assert [s.tobytes() for s in got[k][0]] == [s.tobytes() for s in want[k][0]], k
+            assert pair_bytes(got[k][1]) == pair_bytes(want[k][1]), k
 
 
 class TestDenseErrorBudget:
